@@ -13,7 +13,6 @@ from .bounds import (
     lower_bound_joins,
     lower_bound_trivial,
     optimal_redundancy_exact,
-    report_to_text,
     scan_binary_structural_witness,
     scan_binary_triple_witness,
     upper_bound_grouping,
@@ -77,7 +76,6 @@ from .solver import (
     SolveResult,
     brute_force_ndcode_oracle,
     dcode_to_text,
-    heuristic_dcode,
     lower_bound_pairwise,
     lower_bound_triples,
     min_length_dcode,

@@ -9,16 +9,14 @@ bound is never overstated and an upper bound is never understated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence, TextIO
+from typing import Any, Sequence
 
-from .codec import SystematicEncoding, multi_step_construct
+from .codec import SystematicEncoding, group_code, multi_step_construct
 from .drm import Problem, gfcpc_drm, single_drm
 from .errors import CapacityError, DomainError, InputError
 from .partition import Partition, join_many
 from .solver import SearchBudget, min_length_dcode
 from .space import Vec, hamming_distance, neighbors
-
-REPORT_MAGIC = "gfcpc-report v1"
 
 # Bell(8) = 4140 groupings; beyond that the enumeration is no longer desk scale.
 _GROUPING_CAP = 8
@@ -242,14 +240,6 @@ def binary_structural_bound(prob: Problem) -> BoundReport:
     )
 
 
-def _group_requirements(joined: Partition, d: int):
-    """Block-level demands for a join partition at distance d."""
-    from .codec import _block_residual_matrix
-
-    empty = {u: () for u in joined.space.enumerate()}
-    return _block_residual_matrix(joined, d, empty)
-
-
 def upper_bound_grouping(
     prob: Problem, budget: SearchBudget | None = None
 ) -> BoundReport:
@@ -268,14 +258,12 @@ def upper_bound_grouping(
         for g in grouping.groups:
             key = frozenset(g)
             if key not in cache:
-                joined = join_many([prob.partitions[i - 1] for i in g])
-                d_a = max(prob.distances[i - 1] for i in g)
-                res = min_length_dcode(_group_requirements(joined, d_a), prob.space.q, budget)
+                _, res = group_code(prob, g, budget)
                 if res.is_exact:
                     cache[key] = (res.n or 0, True)
                 else:
                     # Solver gave up; fall back to its certified upper bound.
-                    cache[key] = (res.upper if res.upper is not None else 0, False)
+                    cache[key] = (res.upper, False)
             value, exact = cache[key]
             per_group.append(value)
             all_exact = all_exact and exact
@@ -346,17 +334,3 @@ def grouping_table_text(report: BoundReport) -> str:
     lines = [f"{name.ljust(width)}  {expr}" for name, expr in rows]
     lines.append(f"minimum: {report.value} at {report.certificate['grouping']}")
     return "\n".join(lines) + "\n"
-
-
-def write_report(reports: Sequence[BoundReport], out: TextIO) -> None:
-    out.write(f"{REPORT_MAGIC}\n")
-    for rep in reports:
-        out.write(f"bound {rep.kind} {rep.status} {rep.value}\n")
-
-
-def report_to_text(reports: Sequence[BoundReport]) -> str:
-    import io
-
-    buf = io.StringIO()
-    write_report(reports, buf)
-    return buf.getvalue()

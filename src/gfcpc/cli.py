@@ -11,7 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import bounds as bounds_mod
 from .bounds import (
     BoundReport,
     binary_structural_bound,
@@ -110,9 +109,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
         try:
             enc, trace = multi_step_construct(prob, _budget(args))
         except BudgetExceeded as e:
-            if e.trace is not None:
-                for step in e.trace.steps:
-                    print(f"step {step.h}  blocks {len(step.join_partition)}  r_h {step.r_h}")
+            for step in e.trace.steps:
+                print(f"step {step.h}  blocks {len(step.join_partition)}  r_h {step.r_h}")
             print(f"error: {e}", file=sys.stderr)
             return EXIT_BUDGET
         for step in trace.steps:
@@ -208,9 +206,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def cmd_decode(args: argparse.Namespace) -> int:
     enc = load_encoding(args.encoding)
     prob, _ = load_problem_file(args.problem)
-    word = tuple(int(ch) for ch in args.word)
-    if len(word) != enc.n:
-        raise InputError(f"word length {len(word)}, expected k + r = {enc.n}")
+    if len(args.word) != enc.n:
+        raise InputError(f"word length {len(args.word)}, expected k + r = {enc.n}")
+    word = Space(enc.space.q, enc.n).parse(args.word)
     block = decode_block(enc, prob, args.level, word, args.t)
     if block is None:
         print("FAIL")
@@ -225,15 +223,6 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 def _check(rows: list[tuple[str, object, object]], name: str, computed, expected) -> None:
     rows.append((name, computed, expected))
-
-
-def _group_r(prob, levels: list[int], budget) -> int:
-    joined = join_many([prob.partitions[i - 1] for i in levels])
-    d = max(prob.distances[i - 1] for i in levels)
-    res = min_length_dcode(bounds_mod._group_requirements(joined, d), prob.space.q, budget)
-    if not res.is_exact:
-        raise BudgetExceeded(res, None)  # type: ignore[arg-type]
-    return res.n or 0
 
 
 def _canonical_grouping_key(text: str) -> str:
@@ -258,8 +247,7 @@ def _reproduce_rows(exid: str, budget: SearchBudget) -> list[tuple[str, object, 
         _check(rows, "multistep steps", list(trace.per_step_r), expected["multistep_steps"])
         _check(rows, "multistep total", enc.r, expected["multistep_total"])
         _check(rows, "multistep verifies", verify_gfcpc(enc, prob).valid, True)
-        r1 = _group_r(prob, [1], budget)
-        r2 = _group_r(prob, [2], budget)
+        _, (r1, r2) = grouped_construct(prob, [[1], [2]], budget)
         _check(rows, "r(P1:3)", r1, expected["r_p1"])
         _check(rows, "r(P2:5)", r2, expected["r_p2"])
         _check(rows, "separate sum", r1 + r2, expected["separate_sum"])
@@ -285,7 +273,7 @@ def _reproduce_rows(exid: str, budget: SearchBudget) -> list[tuple[str, object, 
         _check(rows, "multistep verifies", verify_gfcpc(enc, prob).valid, True)
         exact = optimal_redundancy_exact(prob, budget)
         _check(rows, "optimal redundancy", (exact.status, exact.value), ("exact", expected["optimal"]))
-        sep = _group_r(prob, [1], budget) + _group_r(prob, [2], budget)
+        sep = sum(grouped_construct(prob, [[1], [2]], budget)[1])
         _check(rows, "separate sum", sep, expected["separate_sum"])
         chain_holds = exact.value == 4 < rep.value < sep
         _check(rows, "chain 4 = 4 < 5 < 6", chain_holds, True)
@@ -386,8 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget-nodes", type=int, default=10**8, metavar="N",
                         help="search node limit (default 1e8)")
-    common.add_argument("--jobs", type=int, default=1, metavar="J",
-                        help="parallelism cap (current solvers are single-threaded)")
     common.add_argument("-o", "--output", metavar="PATH", default=None,
                         help="write the result file here instead of standard output")
 

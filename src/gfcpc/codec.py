@@ -148,44 +148,15 @@ def _block_residual_matrix(
     return RequirementMatrix(reps, tuple(map(tuple, entries)), tuple(map(tuple, levels)))
 
 
-def _message_residual_matrix(
-    q_h: Partition,
-    d_h: int,
-    cumulative: dict[Vec, Vec],
-) -> RequirementMatrix:
-    """Per-message residual demands for cross-block pairs of q_h (mode 'free')."""
-    space = q_h.space
-    msgs = space.vectors()
-    m = len(msgs)
-    entries = [[0] * m for _ in range(m)]
-    levels: list[list[int | None]] = [[None] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(a + 1, m):
-            if q_h.block_of(msgs[a]) == q_h.block_of(msgs[b]):
-                continue
-            have = hamming_distance(msgs[a], msgs[b]) + hamming_distance(
-                cumulative[msgs[a]], cumulative[msgs[b]]
-            )
-            entries[a][b] = entries[b][a] = max(d_h - have, 0)
-            levels[a][b] = levels[b][a] = 1
-    return RequirementMatrix(msgs, tuple(map(tuple, entries)), tuple(map(tuple, levels)))
-
-
 def multi_step_construct(
-    prob: Problem,
-    budget: SearchBudget | None = None,
-    mode: str = "block-constant",
+    prob: Problem, budget: SearchBudget | None = None
 ) -> tuple[SystematicEncoding, ConstructionTrace]:
     """Build an encoding by upgrading protection level by level.
 
     Step 1 covers the join of all partitions at the smallest distance; step h
     appends parity, constant on blocks of the suffix join P_h v ... v P_H,
-    until cross-block pairs reach cumulative distance d_h. With mode 'free'
-    each step instead solves the message-level residual (slower, possibly
-    shorter).
+    until cross-block pairs reach cumulative distance d_h.
     """
-    if mode not in ("block-constant", "free"):
-        raise InputError(f"unknown mode {mode!r}")
     space = prob.space
     vectors = space.vectors()
     cumulative: dict[Vec, Vec] = {u: () for u in vectors}
@@ -193,32 +164,36 @@ def multi_step_construct(
     for h in range(1, prob.H + 1):
         q_h = join_many(prob.partitions[h - 1 :])
         d_h = prob.distances[h - 1]
-        if mode == "block-constant":
-            mat = _block_residual_matrix(q_h, d_h, cumulative)
-        else:
-            mat = _message_residual_matrix(q_h, d_h, cumulative)
+        mat = _block_residual_matrix(q_h, d_h, cumulative)
         if mat.is_zero():
             steps.append(ConstructionStep(h, q_h, 0, tuple(() for _ in q_h.blocks)))
             continue
         res = min_length_dcode(mat, space.q, budget)
         if not res.is_exact:
-            raise BudgetExceeded(res, ConstructionTrace(mode, tuple(steps)))
+            raise BudgetExceeded(res, ConstructionTrace("block-constant", tuple(steps)))
         assert res.witness is not None
-        if mode == "block-constant":
-            block_parity = res.witness.parities
-            for u in vectors:
-                cumulative[u] = cumulative[u] + block_parity[q_h.block_of(u)]
-        else:
-            by_msg = dict(zip(mat.messages, res.witness.parities))
-            for u in vectors:
-                cumulative[u] = cumulative[u] + by_msg[u]
-            block_parity = tuple(
-                by_msg[min(b, key=space.rank)] for b in q_h.blocks
-            )
+        block_parity = res.witness.parities
+        for u in vectors:
+            cumulative[u] = cumulative[u] + block_parity[q_h.block_of(u)]
         steps.append(ConstructionStep(h, q_h, res.n or 0, block_parity))
     total_r = len(next(iter(cumulative.values()))) if vectors else 0
     enc = SystematicEncoding(space, total_r, dict(cumulative))
-    return enc, ConstructionTrace(mode, tuple(steps))
+    return enc, ConstructionTrace("block-constant", tuple(steps))
+
+
+def group_code(
+    prob: Problem, levels: Sequence[int], budget: SearchBudget | None = None
+) -> tuple[Partition, SolveResult]:
+    """One block-constant code protecting a group of levels (1-based indices).
+
+    The code lives on the join of the group's partitions and meets the
+    group's largest distance; returns that join and the solver result.
+    """
+    joined = join_many([prob.partitions[i - 1] for i in levels])
+    d_a = max(prob.distances[i - 1] for i in levels)
+    empty: dict[Vec, Vec] = {u: () for u in prob.space.enumerate()}
+    mat = _block_residual_matrix(joined, d_a, empty)
+    return joined, min_length_dcode(mat, prob.space.q, budget)
 
 
 def grouped_construct(
@@ -243,11 +218,7 @@ def grouped_construct(
     cumulative: dict[Vec, Vec] = {u: () for u in vectors}
     per_group = []
     for g in groups:
-        joined = join_many([prob.partitions[i - 1] for i in g])
-        d_a = max(prob.distances[i - 1] for i in g)
-        empty: dict[Vec, Vec] = {u: () for u in vectors}
-        mat = _block_residual_matrix(joined, d_a, empty)
-        res = min_length_dcode(mat, space.q, budget)
+        joined, res = group_code(prob, g, budget)
         if not res.is_exact:
             raise BudgetExceeded(res, ConstructionTrace("grouped", ()))
         assert res.witness is not None
@@ -347,9 +318,10 @@ def read_encoding(src: TextIO) -> SystematicEncoding:
                 raise InputError(
                     f"line {lineno}: parity length {len(fields[2])}, expected {r}"
                 )
-            p = tuple(int(ch) for ch in fields[2])
-            if any(not 0 <= s < space.q for s in p):
-                raise InputError(f"line {lineno}: parity digit out of range for q={space.q}")
+            try:
+                p = Space(space.q, r).parse(fields[2])
+            except InputError as e:
+                raise InputError(f"line {lineno}: parity {e}") from None
         if u in parity:
             raise InputError(f"line {lineno}: duplicate message {fields[1]}")
         rank = space.rank(u)

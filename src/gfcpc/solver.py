@@ -1,22 +1,21 @@
-"""Exact and heuristic search for shortest codes meeting a distance requirement matrix.
+"""Exact search for shortest codes meeting a distance requirement matrix.
 
 ``min_length_dcode`` certifies the minimum parity length N admitting a code
-whose pairwise Hamming distances dominate the matrix. It iterates candidate
-lengths upward from a certified lower bound and, per length, runs a
-depth-first feasibility search with two interchangeable strategies:
+whose pairwise Hamming distances dominate the matrix. It has one dispatch:
 
-* parity-first: assign whole parity vectors message by message (good when
-  q^r is small, regardless of the number of messages);
-* column-first: choose how many copies of each canonical column pattern to
-  use (good when r is large but the message count is small). Up to
-  per-column symbol relabeling a code is exactly a multiset of patterns, so
-  the minimum length is the optimum of a small integer covering program,
-  solved exactly with HiGHS via scipy.
+* when the canonical column patterns fit under a cap, it solves a covering
+  program. Up to per-column symbol relabeling a code is exactly a multiset
+  of patterns, so the minimum length is the optimum of a small integer
+  program, solved exactly with HiGHS via scipy;
+* otherwise it walks lengths upward from a certified lower bound. At each
+  length a seeded min-conflicts pass hunts for a witness (for six or more
+  messages), and a parity-first depth-first search either finds one or
+  certifies the length infeasible. The search assigns whole parity vectors
+  message by message and breaks the per-coordinate symbol-relabeling
+  symmetry, a distance-preserving transformation, so exactness is kept.
 
-Both strategies break the per-coordinate symbol-relabeling symmetry; these
-are distance-preserving transformations, so exactness is unaffected. Before
-the exhaustive parity search a seeded min-conflicts pass hunts for a witness,
-which only ever shortens the certified search.
+The first feasible length is the true minimum. A budget stops only the
+length walk and then yields an interval that brackets N.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .space import Vec, hamming_distance
 
 DCODE_MAGIC = "gfcpc-dcode v1"
 
-_PARITY_CAND_CAP = 6562  # q^r up to 3^8; above this the column strategy takes over
 _COLUMN_PATTERN_CAP = 20000
 # min-conflicts pre-pass: only worthwhile when the message count makes the
 # exhaustive search risky and the candidate space is nontrivial
@@ -76,7 +74,7 @@ class SolveResult:
 
     status: str
     lower: int
-    upper: int | None = None
+    upper: int
     n: int | None = None
     witness: DcodeWitness | None = None
     nodes: int = 0
@@ -193,7 +191,7 @@ def _parity_dfs(
 
 
 # ---------------------------------------------------------------------------
-# Column-first depth-first search
+# Column-pattern covering program and min-conflicts local search
 
 
 def _rgs_patterns(m: int, q: int) -> list[tuple[int, ...]]:
@@ -309,76 +307,8 @@ def _local_search(entries: list[list[int]], q: int, r: int) -> list[Vec] | None:
     return None
 
 
-def _column_dfs(
-    entries: list[list[int]], q: int, r: int, counter: _Counter
-) -> list[Vec] | None:
-    m = len(entries)
-    pairs = [
-        (i, j) for i in range(m) for j in range(i + 1, m) if entries[i][j] > 0
-    ]
-    if not pairs:
-        return [(0,) * r for _ in range(m)]
-    patterns = _rgs_patterns(m, q)
-    # Separation sets per pattern; heavy separators first so witnesses surface early.
-    sep: list[list[int]] = []
-    for pat in patterns:
-        sep.append([t for t, (i, j) in enumerate(pairs) if pat[i] != pat[j]])
-    order = sorted(range(len(patterns)), key=lambda p: (-len(sep[p]), patterns[p]))
-    patterns = [patterns[p] for p in order]
-    sep = [sep[p] for p in order]
-    max_sep = max(len(s) for s in sep)
-
-    residual = [entries[i][j] for i, j in pairs]
-    chosen: list[tuple[int, ...]] = []
-
-    def rec(start: int, rem: int, total: int) -> bool:
-        if total <= 0 and all(x <= 0 for x in residual):
-            return True
-        if rem == 0:
-            return False
-        if total > rem * max_sep:
-            return False
-        if max(residual) > rem:
-            return False
-        for p in range(start, len(patterns)):
-            counter.tick()
-            hits = [t for t in sep[p] if residual[t] > 0]
-            if not hits:
-                continue
-            gain = 0
-            for t in sep[p]:
-                residual[t] -= 1
-                if residual[t] >= 0:
-                    gain += 1
-            chosen.append(patterns[p])
-            if rec(p, rem - 1, total - gain):
-                return True
-            chosen.pop()
-            for t in sep[p]:
-                residual[t] += 1
-        return False
-
-    total0 = sum(residual)
-    if not rec(0, r, total0):
-        return None
-    cols = chosen + [(0,) * m] * (r - len(chosen))
-    return [tuple(col[i] for col in cols) for i in range(m)]
-
-
 # ---------------------------------------------------------------------------
 # Exact minimum length
-
-
-def _feasible(
-    entries: list[list[int]], q: int, r: int, counter: _Counter
-) -> list[Vec] | None:
-    m = len(entries)
-    if q**r <= _PARITY_CAND_CAP:
-        return _parity_dfs(entries, q, r, counter)
-    n_patterns = len(_rgs_patterns(m, q)) if q ** (m - 1) <= 4 * _COLUMN_PATTERN_CAP else None
-    if n_patterns is not None and n_patterns <= _COLUMN_PATTERN_CAP:
-        return _column_dfs(entries, q, r, counter)
-    return _parity_dfs(entries, q, r, counter)
 
 
 def min_length_dcode(
@@ -386,10 +316,11 @@ def min_length_dcode(
 ) -> SolveResult:
     """Exact minimum code length for the matrix, with a concrete witness.
 
-    Searches lengths upward from the pairwise/triple lower bound; each length
-    is either certified infeasible or yields a witness, so the first feasible
-    length is the true minimum. Budget exhaustion returns a bracketing
-    interval instead of a guess.
+    Solves the column-pattern covering program when it fits; otherwise
+    searches lengths upward from the pairwise/triple lower bound, where each
+    length is either certified infeasible or yields a witness, so the first
+    feasible length is the true minimum. Budget exhaustion returns a
+    bracketing interval instead of a guess.
     """
     if budget is None:
         budget = SearchBudget()
@@ -424,7 +355,7 @@ def min_length_dcode(
             found = _local_search(entries, q, r)
         try:
             if found is None:
-                found = _feasible(entries, q, r, counter)
+                found = _parity_dfs(entries, q, r, counter)
         except _BudgetExhausted:
             return SolveResult(status="budget", lower=r, upper=nat_ub, nodes=counter.nodes)
         if found is not None:
@@ -435,55 +366,10 @@ def min_length_dcode(
             )
         r += 1
     if budget.max_length is not None and budget.max_length < nat_ub:
-        # Caller capped the length below the fallback construction.
-        return SolveResult(status="budget", lower=r, upper=None, nodes=counter.nodes)
+        # Caller capped the length below the dedicated-segment code, which
+        # stays feasible and so still bounds N from above.
+        return SolveResult(status="budget", lower=r, upper=nat_ub, nodes=counter.nodes)
     raise AssertionError("dedicated-segment code must be feasible at its own length")
-
-
-def heuristic_dcode(
-    D: RequirementMatrix, q: int, r_cap: int, restarts: int = 4
-) -> DcodeWitness | None:
-    """Greedy upper-bound code: first compatible parity in lexicographic order.
-
-    Tries the natural message order plus seeded shuffles; returns a verified
-    witness of length <= r_cap or None.
-    """
-    if r_cap < lower_bound_pairwise(D):
-        raise InputError("r_cap below the largest single demand")
-    if q**r_cap > 2 * 10**6:
-        return None
-    m = D.m
-    rng = np.random.default_rng(0)
-    orders = [list(range(m))]
-    orders.append(sorted(range(m), key=lambda i: (-max(D.entries[i], default=0), i)))
-    for _ in range(restarts):
-        perm = list(range(m))
-        rng.shuffle(perm)
-        orders.append(perm)
-    for order in orders:
-        placed: list[Vec] = []
-        ok = True
-        for pos, i in enumerate(order):
-            choice = None
-            for cand in itertools.product(range(q), repeat=r_cap):
-                if all(
-                    hamming_distance(cand, placed[p]) >= D.entries[i][order[p]]
-                    for p in range(pos)
-                ):
-                    choice = cand
-                    break
-            if choice is None:
-                ok = False
-                break
-            placed.append(choice)
-        if ok:
-            parities: list[Vec] = [()] * m
-            for pos, i in enumerate(order):
-                parities[i] = placed[pos]
-            ok2, _ = verify_dcode(parities, D)
-            if ok2:
-                return DcodeWitness(r_cap, tuple(parities))
-    return None
 
 
 def brute_force_ndcode_oracle(

@@ -21,7 +21,8 @@ from gfcpc.bounds import (
 )
 from gfcpc.drm import canonicalize_problem
 from gfcpc.errors import CapacityError, DomainError, InputError
-from gfcpc.partition import Partition
+from gfcpc.partition import Partition, finest
+from gfcpc.solver import SearchBudget
 from gfcpc.space import Space
 
 from conftest import random_problem
@@ -178,6 +179,15 @@ def test_grouping_and_multistep_upper_bounds():
     table = grouped.certificate["table"]
     assert len(table) == 2  # Bell(2)
     assert grouped.value == min(row["total"] for row in table)
+
+
+def test_grouping_upper_bound_under_length_cap():
+    # The cap stops the solver below the true redundancy 3 (the [7,4] Hamming
+    # code); the reported upper bound must still be at least that.
+    prob = canonicalize_problem([finest(Space(2, 4))], [3])
+    rep = upper_bound_grouping(prob, SearchBudget(max_length=1))
+    assert rep.value >= 3
+    assert not rep.certificate["table"][0]["exact"]
 
 
 def test_bound_ordering_on_random_problems():

@@ -177,6 +177,29 @@ def test_decode_failure_exit_code(tmp_path, capsys):
     assert out.strip() == "FAIL"
 
 
+def test_decode_rejects_bad_digits(tmp_path, capsys):
+    ex = load_example("ex1")
+    enc, _ = multi_step_construct(ex.problem)
+    enc_file = tmp_path / "enc.txt"
+    store_encoding(enc, enc_file)
+    problem = str(EX1 / "problem.txt")
+    word = "".join(str(s) for s in enc.codeword((0, 0, 0)))
+    # a non-digit symbol in the received word
+    code = main(["decode", str(enc_file), problem, "a" + word[1:], "--level", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "non-digit" in err
+    # a non-digit parity symbol in the encoding file
+    lines = enc_file.read_text().splitlines()
+    fields = lines[5].split()
+    lines[5] = f"{fields[0]} {fields[1]} x{fields[2][1:]}"
+    enc_file.write_text("\n".join(lines) + "\n")
+    code = main(["decode", str(enc_file), problem, word, "--level", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: line 6: parity") and "non-digit" in err
+
+
 def test_input_error_exit_code(tmp_path):
     missing = tmp_path / "nope.txt"
     assert main(["verify", str(missing), str(missing)]) == 2

@@ -113,6 +113,10 @@ def test_encoding_diagnostics():
         read_encoding(io.StringIO(base + "row 0 0\n"))
     with pytest.raises(InputError, match="parity length"):
         read_encoding(io.StringIO(base + "row 0 00\nrow 1 11\n"))
+    with pytest.raises(InputError, match="line 5: parity .*non-digit"):
+        read_encoding(io.StringIO(base + "row 0 a\nrow 1 1\n"))
+    with pytest.raises(InputError, match="line 6: parity .*out of range"):
+        read_encoding(io.StringIO(base + "row 0 0\nrow 1 2\n"))
     with pytest.raises(InputError, match="line 1"):
         read_encoding(io.StringIO("nope\n"))
 

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfcpc import solver
 from gfcpc.drm import RequirementMatrix
 from gfcpc.errors import CapacityError, ShapeError
 from gfcpc.solver import (
     SearchBudget,
+    _Counter,
+    _milp_min_columns,
+    _parity_dfs,
     brute_force_ndcode_oracle,
-    heuristic_dcode,
     lower_bound_pairwise,
     lower_bound_triples,
     min_length_dcode,
@@ -122,34 +126,61 @@ def test_max_length_cap():
     assert res.lower >= 8
 
 
+def _dfs_ladder(mat, q):
+    """Walk lengths upward from the largest demand with the parity DFS alone."""
+    entries = [list(row) for row in mat.entries]
+    r = lower_bound_pairwise(mat)
+    counter = _Counter(10**8, None)
+    while (found := _parity_dfs(entries, q, r, counter)) is None:
+        r += 1
+    return r, found
+
+
 def test_covering_path_agrees_with_dfs():
-    # 5 messages stays below the direct-search comfort zone either way;
-    # force both mechanisms on the same instance and compare.
+    # The covering program and the parity-DFS length ladder are independent
+    # mechanisms; on the same instance they must agree on the minimum.
     rng = random.Random(11)
-    for _ in range(10):
-        m = 5
+    for _ in range(20):
+        m = rng.randint(2, 6)
         entries = [[0] * m for _ in range(m)]
         for i in range(m):
             for j in range(i + 1, m):
                 e = rng.randint(0, 4)
                 entries[i][j] = entries[j][i] = e
         mat = mat_from_entries(entries)
-        res2 = min_length_dcode(mat, 2)
-        res3 = min_length_dcode(mat, 3)
-        assert res2.is_exact and res3.is_exact
-        assert res3.n <= res2.n  # larger alphabet never needs more length
+        best = {}
+        for q in (2, 3):
+            n_milp, milp_witness = _milp_min_columns(entries, q)
+            n_dfs, dfs_witness = _dfs_ladder(mat, q)
+            assert n_milp == n_dfs, (entries, q)
+            assert verify_dcode(milp_witness, mat)[0]
+            assert verify_dcode(dfs_witness, mat)[0]
+            best[q] = n_milp
+        assert best[3] <= best[2]  # larger alphabet never needs more length
 
 
-def test_heuristic_is_sound():
-    rng = random.Random(3)
-    for _ in range(10):
-        mat = random_matrix(rng)
-        exact = min_length_dcode(mat, 2).n
-        witness = heuristic_dcode(mat, 2, exact + 2)
-        if witness is not None:
-            ok, _ = verify_dcode(witness.parities, mat)
-            assert ok
-            assert witness.length >= exact
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([2, 3]),
+    st.one_of(st.none(), st.integers(0, 8)),
+    st.integers(1, 3000),
+    st.booleans(),
+)
+def test_budget_result_brackets_minimum(seed, q, max_length, node_limit, skip_covering):
+    rng = random.Random(seed)
+    mat = random_matrix(rng, m_max=5)
+    n = min_length_dcode(mat, q).n
+    budget = SearchBudget(max_length=max_length, node_limit=node_limit)
+    if skip_covering:
+        # Force the length walk, where the budget binds.
+        with mock.patch.object(solver, "_milp_min_columns", lambda *_: None):
+            res = min_length_dcode(mat, q, budget)
+    else:
+        res = min_length_dcode(mat, q, budget)
+    assert res.lower <= n <= res.upper
+    if res.is_exact:
+        assert res.n == n and verify_dcode(res.witness.parities, mat)[0]
 
 
 def test_oracle_capacity_guards():
