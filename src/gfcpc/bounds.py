@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from .codec import SystematicEncoding, group_code, multi_step_construct
-from .drm import Problem, gfcpc_drm, single_drm
+from .drm import Problem, canonicalize_problem, gfcpc_drm
 from .errors import CapacityError, DomainError, InputError
 from .partition import Partition, join_many
 from .solver import SearchBudget, min_length_dcode
@@ -81,11 +81,6 @@ def enumerate_index_groupings(H: int) -> list[IndexGrouping]:
     return out
 
 
-def _suffix_join(prob: Problem, h: int) -> Partition:
-    """Join of partitions h..H (1-based)."""
-    return join_many(prob.partitions[h - 1 :])
-
-
 def lower_bound_joins(
     prob: Problem, budget: SearchBudget | None = None
 ) -> BoundReport:
@@ -98,8 +93,8 @@ def lower_bound_joins(
     msgs = prob.space.vectors()
     terms = []
     for h in range(1, prob.H + 1):
-        q_h = _suffix_join(prob, h)
-        mat = single_drm(q_h, prob.distances[h - 1], msgs)
+        q_h = join_many(prob.partitions[h - 1 :])
+        mat = gfcpc_drm(canonicalize_problem([q_h], [prob.distances[h - 1]]), msgs)
         res = min_length_dcode(mat, prob.space.q, budget)
         terms.append(
             {"h": h, "value": res.n if res.is_exact else res.lower, "exact": res.is_exact}

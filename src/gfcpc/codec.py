@@ -15,11 +15,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, TextIO
 
+import numpy as np
+
 from .drm import Problem, RequirementMatrix
 from .errors import InputError, ShapeError
 from .partition import Partition, join_many
 from .solver import SearchBudget, SolveResult, min_length_dcode
-from .space import Space, Vec, hamming_distance
+from .space import Space, Vec, distance_matrix
 
 ENCODING_MAGIC = "gfcpc-encoding v1"
 
@@ -105,19 +107,17 @@ def verify_gfcpc(enc: SystematicEncoding, prob: Problem) -> VerificationReport:
     if enc.space != prob.space:
         raise ShapeError(f"space mismatch: {enc.space} vs {prob.space}")
     vectors = prob.space.vectors()
-    block_ids = [[p.block_of(u) for u in vectors] for p in prob.partitions]
-    violations = []
-    for a in range(len(vectors)):
-        u = vectors[a]
-        pu = enc.parity[u]
-        for b in range(a + 1, len(vectors)):
-            v = vectors[b]
-            d_tot = hamming_distance(u, v) + hamming_distance(pu, enc.parity[v])
-            for h in range(prob.H):
-                if block_ids[h][a] != block_ids[h][b] and d_tot < prob.distances[h]:
-                    violations.append(
-                        Violation(h + 1, u, v, d_tot, prob.distances[h])
-                    )
+    d_tot = distance_matrix([enc.codeword(u) for u in vectors])
+    upper = np.triu(np.ones(d_tot.shape, dtype=bool), 1)
+    short = np.zeros(d_tot.shape + (prob.H,), dtype=bool)
+    for h, (p, d) in enumerate(zip(prob.partitions, prob.distances)):
+        ids = np.array([p.block_of(u) for u in vectors])
+        short[:, :, h] = upper & (ids[:, None] != ids[None, :]) & (d_tot < d)
+    # argwhere walks the pairs a < b in (a, b, h) lexicographic order
+    violations = [
+        Violation(h + 1, vectors[a], vectors[b], int(d_tot[a, b]), prob.distances[h])
+        for a, b, h in np.argwhere(short).tolist()
+    ]
     return VerificationReport(not violations, tuple(violations))
 
 
@@ -128,24 +128,17 @@ def _block_residual_matrix(
 ) -> RequirementMatrix:
     """Demands between blocks of q_h after crediting message and accrued parity distance."""
     space = q_h.space
-    n_blocks = len(q_h.blocks)
-    reps = tuple(min(b, key=space.rank) for b in q_h.blocks)
     members = [sorted(b, key=space.rank) for b in q_h.blocks]
-    entries = [[0] * n_blocks for _ in range(n_blocks)]
-    levels: list[list[int | None]] = [[None] * n_blocks for _ in range(n_blocks)]
-    for a in range(n_blocks):
-        for b in range(a + 1, n_blocks):
-            need = 0
-            for u in members[a]:
-                for v in members[b]:
-                    have = hamming_distance(u, v) + hamming_distance(
-                        cumulative[u], cumulative[v]
-                    )
-                    need = max(need, d_h - have)
-            need = max(need, 0)
-            entries[a][b] = entries[b][a] = need
-            levels[a][b] = levels[b][a] = 1
-    return RequirementMatrix(reps, tuple(map(tuple, entries)), tuple(map(tuple, levels)))
+    starts = np.cumsum([0] + [len(block) for block in members[:-1]])
+    have = distance_matrix([u + cumulative[u] for block in members for u in block])
+    # least codeword distance over each pair of blocks: reduce rows, then columns
+    least = np.minimum.reduceat(np.minimum.reduceat(have, starts, axis=0), starts, axis=1)
+    need = np.maximum(d_h - least, 0)
+    np.fill_diagonal(need, 0)
+    n = len(members)
+    levels = tuple(tuple(None if a == b else 1 for b in range(n)) for a in range(n))
+    reps = tuple(block[0] for block in members)
+    return RequirementMatrix(reps, tuple(map(tuple, need.tolist())), levels)
 
 
 def multi_step_construct(
@@ -248,15 +241,10 @@ def decode_block(
         raise ShapeError(f"received word has length {len(received)}, expected {enc.n}")
     radius = prob.t(h) if t is None else t
     part = prob.partitions[h - 1]
-    blocks = set()
-    found = False
-    for u in enc.space.enumerate():
-        if hamming_distance(enc.codeword(u), received) <= radius:
-            found = True
-            blocks.add(part.block_of(u))
-            if len(blocks) > 1:
-                return None
-    return blocks.pop() if found else None
+    vectors = enc.space.vectors()
+    dist = distance_matrix([received], [enc.codeword(u) for u in vectors])[0]
+    blocks = {part.block_of(vectors[i]) for i in np.flatnonzero(dist <= radius)}
+    return blocks.pop() if len(blocks) == 1 else None
 
 
 # ---------------------------------------------------------------------------

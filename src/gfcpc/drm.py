@@ -12,9 +12,11 @@ import io
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
+import numpy as np
+
 from .errors import InputError, ShapeError
 from .partition import Partition
-from .space import Space, Vec, hamming_distance
+from .space import Space, Vec, distance_matrix, hamming_distance
 
 DRM_MAGIC = "gfcpc-drm v1"
 
@@ -124,29 +126,17 @@ def gfcpc_drm(prob: Problem, msgs: Sequence[Vec]) -> RequirementMatrix:
     """
     messages = _check_messages(msgs, prob.space)
     m = len(messages)
-    entries = [[0] * m for _ in range(m)]
-    levels: list[list[int | None]] = [[None] * m for _ in range(m)]
-    block_ids = [
-        [p.block_of(u) for u in messages] for p in prob.partitions
-    ]
-    for i in range(m):
-        for j in range(i + 1, m):
-            h_prime = 0
-            for h in range(prob.H, 0, -1):
-                if block_ids[h - 1][i] != block_ids[h - 1][j]:
-                    h_prime = h
-                    break
-            if h_prime == 0:
-                continue
-            need = max(
-                prob.distances[h_prime - 1]
-                - hamming_distance(messages[i], messages[j]),
-                0,
-            )
-            entries[i][j] = entries[j][i] = need
-            levels[i][j] = levels[j][i] = h_prime
+    # source[i, j] = largest h whose partition splits the pair, 0 if none
+    source = np.zeros((m, m), dtype=np.int16)
+    for h, p in enumerate(prob.partitions, start=1):
+        ids = np.array([p.block_of(u) for u in messages])
+        source[ids[:, None] != ids[None, :]] = h
+    demand = np.array((0,) + prob.distances, dtype=np.int16)[source]
+    entries = np.maximum(demand - distance_matrix(messages), 0)
     return RequirementMatrix(
-        messages, tuple(map(tuple, entries)), tuple(map(tuple, levels))
+        messages,
+        tuple(map(tuple, entries.tolist())),
+        tuple(tuple(h or None for h in row) for row in source.tolist()),
     )
 
 

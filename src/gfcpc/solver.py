@@ -7,15 +7,17 @@ whose pairwise Hamming distances dominate the matrix. It has one dispatch:
   program. Up to per-column symbol relabeling a code is exactly a multiset
   of patterns, so the minimum length is the optimum of a small integer
   program, solved exactly with HiGHS via scipy;
-* otherwise it walks lengths upward from a certified lower bound. At each
-  length a seeded min-conflicts pass hunts for a witness (for six or more
-  messages), and a parity-first depth-first search either finds one or
-  certifies the length infeasible. The search assigns whole parity vectors
-  message by message and breaks the per-coordinate symbol-relabeling
-  symmetry, a distance-preserving transformation, so exactness is kept.
+* otherwise, or when HiGHS stops short of an optimum, it walks lengths
+  upward from a certified lower bound. At each length a seeded
+  min-conflicts pass hunts for a witness (for six or more messages), and a
+  parity-first depth-first search either finds one or certifies the length
+  infeasible. The search assigns whole parity vectors message by message
+  and breaks the per-coordinate symbol-relabeling symmetry, a
+  distance-preserving transformation, so exactness is kept.
 
-The first feasible length is the true minimum. A budget stops only the
-length walk and then yields an interval that brackets N.
+The first feasible length is the true minimum. A budget binds every stage:
+one deadline covers the whole call (HiGHS gets the time left), the node limit
+also caps each min-conflicts seed, and a stopped walk brackets N.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .drm import RequirementMatrix
 from .errors import CapacityError, InputError, ShapeError
-from .space import Vec, hamming_distance
+from .space import Vec, distance_matrix, hamming_distance
 
 DCODE_MAGIC = "gfcpc-dcode v1"
 
@@ -111,14 +113,10 @@ def verify_dcode(
     """Check pairwise distances against the matrix; returns (ok, violating 0-based pairs)."""
     if len(parities) != D.m:
         raise ShapeError(f"{len(parities)} parities for a {D.m}-message matrix")
-    lengths = {len(p) for p in parities}
-    if len(lengths) > 1:
-        raise ShapeError(f"parities have mixed lengths {sorted(lengths)}")
-    violations = []
-    for i in range(D.m):
-        for j in range(i + 1, D.m):
-            if hamming_distance(parities[i], parities[j]) < D.entries[i][j]:
-                violations.append((i, j))
+    dist = distance_matrix(parities)
+    violations = [
+        (i, j) for i, j in np.argwhere(dist < np.array(D.entries)).tolist() if i < j
+    ]
     return not violations, violations
 
 
@@ -212,14 +210,15 @@ def _rgs_patterns(m: int, q: int) -> list[tuple[int, ...]]:
 
 
 def _milp_min_columns(
-    entries: list[list[int]], q: int
+    entries: list[list[int]], q: int, time_limit: float | None = None
 ) -> tuple[int, list[Vec]] | None:
     """Exact minimum length as an integer covering program over column patterns.
 
     Each column of a code is, up to symbol relabeling, one canonical pattern;
     a code of length r is a multiset of r patterns covering every pair's
-    demand. Returns None when the pattern space is too large or the solver
-    result fails re-verification.
+    demand. Returns None when the pattern space is too large, HiGHS stops
+    short of optimality (e.g. at `time_limit` seconds), or the solver result
+    fails re-verification.
     """
     from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -232,37 +231,34 @@ def _milp_min_columns(
     patterns = _rgs_patterns(m, q)
     if len(patterns) > _COLUMN_PATTERN_CAP:
         return None
-    a = np.array(
-        [[1 if pat[i] != pat[j] else 0 for pat in patterns] for i, j in pairs],
-        dtype=float,
-    )
-    b = np.array([entries[i][j] for i, j in pairs], dtype=float)
+    # a[pair, pattern] = 1 when the pattern separates the pair
+    i, j = np.array(pairs).T
+    pats = np.array(patterns)
+    a = (pats[:, i] != pats[:, j]).T.astype(float)
+    b = np.array(entries, dtype=float)[i, j]
     res = milp(
         c=np.ones(len(patterns)),
         constraints=LinearConstraint(a, lb=b),
         integrality=np.ones(len(patterns)),
         bounds=Bounds(0, np.inf),
+        options=None if time_limit is None else {"time_limit": time_limit},
     )
     if res.status != 0 or res.x is None:
         return None
-    counts = np.rint(res.x).astype(int)
-    cols: list[tuple[int, ...]] = []
-    for pat, c in zip(patterns, counts):
-        cols.extend([pat] * int(c))
-    parities = [tuple(col[i] for col in cols) for i in range(m)]
-    for i, j in pairs:
-        if hamming_distance(parities[i], parities[j]) < entries[i][j]:
-            return None
+    cols = np.repeat(pats, np.rint(res.x).astype(int), axis=0)
+    parities = [tuple(p) for p in cols.T.tolist()]
+    if (distance_matrix(parities)[i, j] < b).any():
+        return None
     return len(cols), parities
 
 
-def _local_search(entries: list[list[int]], q: int, r: int) -> list[Vec] | None:
+def _local_search(entries: list[list[int]], q: int, r: int, counter: _Counter) -> list[Vec] | None:
     """Seeded min-conflicts hunt for a length-r witness; sound but incomplete.
 
     Repeatedly repairs a violated pair by the single-symbol change that
     minimizes the touched message's total deficit, with occasional random
-    walk steps. A returned assignment satisfies every demand exactly as
-    checked here; failure proves nothing.
+    walk steps: at most counter.limit uncharged repairs a seed, never past
+    its deadline. A returned assignment meets every demand; failure proves nothing.
     """
     if r < 1:
         return None
@@ -271,10 +267,12 @@ def _local_search(entries: list[list[int]], q: int, r: int) -> list[Vec] | None:
     for seed in range(_LOCAL_SEARCH_SEEDS):
         rng = np.random.default_rng(seed)
         p = rng.integers(0, q, size=(m, r))
-        dist = (p[:, None, :] != p[None, :, :]).sum(axis=2)
+        dist = distance_matrix(p.tolist())
         deficit = np.maximum(e - dist, 0)
         np.fill_diagonal(deficit, 0)
-        for _ in range(_LOCAL_SEARCH_ITERS):
+        for _ in range(min(_LOCAL_SEARCH_ITERS, counter.limit)):
+            if counter.deadline is not None and time.monotonic() > counter.deadline:
+                return None
             viol = np.argwhere(deficit > 0)
             if viol.size == 0:
                 normal = (p - p[0]) % q
@@ -324,6 +322,7 @@ def min_length_dcode(
     """
     if budget is None:
         budget = SearchBudget()
+    counter = _Counter(budget.node_limit, budget.wall_clock_s)
     m = D.m
     if m <= 1:
         return SolveResult(
@@ -339,7 +338,8 @@ def min_length_dcode(
     inv = [0] * m
     for pos, idx in enumerate(order):
         inv[idx] = pos
-    milp_result = _milp_min_columns(entries, q)
+    time_limit = None if counter.deadline is None else max(counter.deadline - time.monotonic(), 0)
+    milp_result = _milp_min_columns(entries, q, time_limit)
     if milp_result is not None:
         n, found = milp_result
         assert n >= lb
@@ -347,12 +347,11 @@ def min_length_dcode(
         return SolveResult(
             status="exact", lower=n, upper=n, n=n, witness=DcodeWitness(n, parities)
         )
-    counter = _Counter(budget.node_limit, budget.wall_clock_s)
     r = lb
     while r <= cap:
         found = None
         if m >= _LOCAL_SEARCH_MIN_M:
-            found = _local_search(entries, q, r)
+            found = _local_search(entries, q, r, counter)
         try:
             if found is None:
                 found = _parity_dfs(entries, q, r, counter)
@@ -388,11 +387,7 @@ def brute_force_ndcode_oracle(
     if m <= 1:
         return 0
     for r in range(r_max + 1):
-        n = q**r
-        vecs = np.array(list(itertools.product(range(q), repeat=r)), dtype=np.int8)
-        if r == 0:
-            vecs = vecs.reshape(1, 0)
-        dist = (vecs[:, None, :] != vecs[None, :, :]).sum(axis=2)
+        dist = distance_matrix(list(itertools.product(range(q), repeat=r)))
         d0 = dist[0]
         if m == 2:
             if (d0 >= D.entries[0][1]).any():

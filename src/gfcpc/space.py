@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import CapacityError, InputError, ShapeError
 
@@ -36,9 +38,6 @@ class Space:
     @property
     def size(self) -> int:
         return self.q**self.k
-
-    def contains(self, u: Vec) -> bool:
-        return len(u) == self.k and all(0 <= s < self.q for s in u)
 
     def validate(self, u: Vec) -> Vec:
         if len(u) != self.k:
@@ -103,6 +102,27 @@ def hamming_distance(u: Vec, v: Vec) -> int:
     if len(u) != len(v):
         raise ShapeError(f"length mismatch: {len(u)} vs {len(v)}")
     return sum(a != b for a, b in zip(u, v))
+
+
+def distance_matrix(rows: Sequence[Vec], cols: Sequence[Vec] | None = None) -> np.ndarray:
+    """Hamming distances between every word of rows and every word of cols.
+
+    Returns an int16 array of shape (len(rows), len(cols)); cols defaults to
+    rows. All words share one length. The distances accumulate one
+    coordinate at a time, so memory stays at one rows x cols array whatever
+    the word length.
+    """
+    words = rows if cols is None else [*rows, *cols]
+    lengths = {len(w) for w in words}
+    if len(lengths) > 1:
+        raise ShapeError(f"words have mixed lengths {sorted(lengths)}")
+    n = lengths.pop() if lengths else 0
+    a = np.array(rows, dtype=np.intp).reshape(len(rows), n)
+    b = a if cols is None else np.array(cols, dtype=np.intp).reshape(len(cols), n)
+    out = np.zeros((len(a), len(b)), dtype=np.int16)
+    for c in range(n):
+        out += a[:, c, None] != b[None, :, c]
+    return out
 
 
 def hamming_weight(u: Vec) -> int:

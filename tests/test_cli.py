@@ -1,9 +1,7 @@
 from __future__ import annotations
 
-import pytest
-
 from gfcpc.cli import main
-from gfcpc.codec import load_encoding, multi_step_construct, store_encoding
+from gfcpc.codec import multi_step_construct, store_encoding
 from gfcpc.examples import data_root, load_example
 from gfcpc.partition import load_partition, save_partition
 

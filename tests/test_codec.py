@@ -4,10 +4,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfcpc.codec import (
     BudgetExceeded,
     SystematicEncoding,
+    _block_residual_matrix,
     decode_block,
     grouped_construct,
     multi_step_construct,
@@ -19,7 +22,7 @@ from gfcpc.partition import Partition, is_refinement, join_many
 from gfcpc.solver import SearchBudget
 from gfcpc.space import Space, hamming_distance
 
-from conftest import random_problem
+from conftest import random_problem, reference_block_residual_matrix, reference_verify_gfcpc
 
 
 def _parts(space, *blocks_text):
@@ -163,3 +166,71 @@ def test_decode_block_failure_modes():
         decode_block(enc, prob, 1, (0, 0))
     # radius n swallows every codeword: blocks mix, decoding must fail
     assert decode_block(enc, prob, 1, enc.codeword((0, 0)), t=enc.n) is None
+
+
+def _random_parity(rng, space, r):
+    return {u: tuple(rng.randrange(space.q) for _ in range(r)) for u in space.enumerate()}
+
+
+def _random_encoding(rng, prob):
+    """A valid repetition code a third of the time, else random parity (mostly invalid).
+
+    The repetition code's parity is the message d_H - 1 times over, so
+    distinct messages end up at distance >= d_H.
+    """
+    if rng.random() < 1 / 3:
+        reps = prob.distances[-1] - 1
+        parity = {u: u * reps for u in prob.space.enumerate()}
+        return SystematicEncoding(prob.space, prob.space.k * reps, parity)
+    r = rng.randint(0, 3)
+    return SystematicEncoding(prob.space, r, _random_parity(rng, prob.space, r))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10**6), st.sampled_from([2, 3]))
+def test_verify_gfcpc_matches_pair_loop(seed, q):
+    rng = random.Random(seed)
+    prob = random_problem(rng, q=q, k_max=3, h_max=3, d_max=5)
+    enc = _random_encoding(rng, prob)
+    report = verify_gfcpc(enc, prob)
+    expected = reference_verify_gfcpc(enc, prob)
+    assert report.violations == expected  # same tuples, same (a, b, h) order
+    assert report.valid == (not expected)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10**6), st.sampled_from([2, 3]))
+def test_block_residual_matrix_matches_pair_loop(seed, q):
+    rng = random.Random(seed)
+    prob = random_problem(rng, q=q, k_max=3, h_max=3, d_max=5)
+    h = rng.randint(1, prob.H)
+    q_h = join_many(prob.partitions[h - 1 :])
+    cumulative = _random_parity(rng, prob.space, rng.randint(0, 3))
+    got = _block_residual_matrix(q_h, prob.distances[h - 1], cumulative)
+    assert got == reference_block_residual_matrix(q_h, prob.distances[h - 1], cumulative)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10**6), st.sampled_from([2, 3]))
+def test_decode_block_matches_brute_force(seed, q):
+    rng = random.Random(seed)
+    prob = random_problem(rng, q=q, k_max=3, h_max=3, d_max=5)
+    enc = _random_encoding(rng, prob)
+    h = rng.randint(1, prob.H)
+    t = rng.choice([None, rng.randint(0, enc.n)])
+    if rng.random() < 0.5:
+        word = list(enc.codeword(rng.choice(prob.space.vectors())))
+        for i in rng.sample(range(enc.n), rng.randint(0, enc.n)):
+            word[i] = rng.randrange(q)
+    else:
+        word = [rng.randrange(q) for _ in range(enc.n)]
+    received = tuple(word)
+    radius = prob.t(h) if t is None else t
+    part = prob.partitions[h - 1]
+    blocks = {
+        part.block_of(u)
+        for u in prob.space.enumerate()
+        if hamming_distance(enc.codeword(u), received) <= radius
+    }
+    expected = blocks.pop() if len(blocks) == 1 else None
+    assert decode_block(enc, prob, h, received, t) == expected

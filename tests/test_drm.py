@@ -16,7 +16,7 @@ from gfcpc.errors import InputError, ShapeError
 from gfcpc.partition import Partition, same_block
 from gfcpc.space import Space, hamming_distance
 
-from conftest import random_partition, random_problem
+from conftest import random_problem
 
 
 def _parts(space, *blocks_text):

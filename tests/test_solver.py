@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from unittest import mock
 
 import pytest
@@ -115,6 +116,29 @@ def test_budget_exhaustion_brackets():
     assert not res.is_exact
     assert res.lower <= res.upper
     assert res.witness is None
+
+
+def test_wall_clock_binds_local_search():
+    # Same instance with no node limit: only the deadline stops the
+    # min-conflicts pass short of its 3 x 30,000 repairs per length.
+    m = 18
+    entries = [[0 if i == j else 5 for j in range(m)] for i in range(m)]
+    t0 = time.monotonic()
+    res = min_length_dcode(mat_from_entries(entries), 2, SearchBudget(wall_clock_s=0.2))
+    assert time.monotonic() - t0 < 5
+    assert res.status == "budget" and res.lower <= res.upper
+
+
+def test_wall_clock_reaches_highs():
+    import scipy.optimize
+
+    mat = mat_from_entries([[0, 3, 2, 1], [3, 0, 2, 2], [2, 2, 0, 3], [1, 2, 3, 0]])
+    with mock.patch.object(scipy.optimize, "milp", wraps=scipy.optimize.milp) as spy:
+        assert min_length_dcode(mat, 2, SearchBudget(wall_clock_s=30)).n == 4
+        limit = spy.call_args.kwargs["options"]["time_limit"]
+        assert 0 < limit <= 30
+        min_length_dcode(mat, 2)
+        assert spy.call_args.kwargs["options"] is None
 
 
 def test_max_length_cap():

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gfcpc.errors import CapacityError, InputError, ShapeError
-from gfcpc.space import Space, hamming_distance, hamming_weight, neighbors
+from gfcpc.space import Space, distance_matrix, hamming_distance, hamming_weight, neighbors
 
 spaces = st.builds(Space, st.integers(2, 4), st.integers(1, 4))
 
@@ -87,6 +87,32 @@ def test_hamming_distance_metric(space, data):
 def test_hamming_distance_length_mismatch():
     with pytest.raises(ShapeError):
         hamming_distance((0, 1), (0, 1, 0))
+
+
+@given(st.integers(0, 4), st.integers(2, 4), st.data())
+def test_distance_matrix_matches_hamming_distance(n, q, data):
+    # n = 0 covers zero-length words; lists may be empty on either side.
+    words = st.lists(st.tuples(*[st.integers(0, q - 1)] * n), max_size=6)
+    rows, cols = data.draw(words), data.draw(words)
+    got = distance_matrix(rows, cols)
+    assert got.shape == (len(rows), len(cols))
+    assert got.tolist() == [[hamming_distance(u, v) for v in cols] for u in rows]
+    square = distance_matrix(rows)
+    assert square.shape == (len(rows), len(rows))
+    assert square.tolist() == [[hamming_distance(u, v) for v in rows] for u in rows]
+
+
+def test_distance_matrix_edges():
+    assert distance_matrix([]).shape == (0, 0)
+    assert distance_matrix([], [(0, 1)]).shape == (0, 1)
+    assert distance_matrix([(), ()], []).shape == (2, 0)
+    assert distance_matrix([(), ()]).tolist() == [[0, 0], [0, 0]]
+    # symbols past any small integer type must not wrap or overflow
+    assert distance_matrix([(300, 1), (44, 1), (300, 2)]).tolist() == [[0, 1, 1], [1, 0, 2], [1, 2, 0]]
+    with pytest.raises(ShapeError):
+        distance_matrix([(0, 1), (0, 1, 0)])
+    with pytest.raises(ShapeError):
+        distance_matrix([(0, 1)], [(0,)])
 
 
 def test_hamming_weight():
