@@ -26,36 +26,35 @@ from .codec import (
     VerificationReport,
     Violation,
     decode_block,
-    encoding_to_text,
     grouped_construct,
-    load_encoding,
     multi_step_construct,
-    read_encoding,
-    store_encoding,
     verify_gfcpc,
 )
 from .drm import (
     Problem,
     RequirementMatrix,
     canonicalize_problem,
-    drm_to_text,
     entrywise_max,
     gfcpc_drm,
-    read_drm,
     single_drm,
 )
-from .examples import (
-    EXAMPLE_IDS,
-    ExampleBundle,
-    load_example,
-    load_problem_file,
-)
+from .examples import EXAMPLE_IDS, ExampleBundle, load_example
 from .errors import (
     CapacityError,
     DomainError,
     GfcpcError,
     InputError,
     ShapeError,
+)
+from .formats import (
+    dcode_to_text,
+    drm_to_text,
+    encoding_to_text,
+    load_problem_file,
+    parse_drm,
+    parse_encoding,
+    parse_partition,
+    partition_to_text,
 )
 from .partition import (
     Partition,
@@ -64,18 +63,13 @@ from .partition import (
     is_refinement,
     join,
     join_many,
-    load_partition,
-    partition_to_text,
-    read_partition,
     same_block,
-    save_partition,
 )
 from .solver import (
     DcodeWitness,
     SearchBudget,
     SolveResult,
     brute_force_ndcode_oracle,
-    dcode_to_text,
     lower_bound_pairwise,
     lower_bound_triples,
     min_length_dcode,

@@ -15,7 +15,7 @@ from .codec import SystematicEncoding, group_code, multi_step_construct
 from .drm import Problem, canonicalize_problem, gfcpc_drm
 from .errors import CapacityError, DomainError, InputError
 from .partition import Partition, join_many
-from .solver import SearchBudget, min_length_dcode
+from .solver import SearchBudget, min_length_dcode, restricted_growth_strings
 from .space import Vec, hamming_distance, neighbors
 
 # Bell(8) = 4140 groupings; beyond that the enumeration is no longer desk scale.
@@ -64,20 +64,11 @@ def enumerate_index_groupings(H: int) -> list[IndexGrouping]:
     if H > _GROUPING_CAP:
         raise CapacityError(f"H = {H} exceeds grouping enumeration cap {_GROUPING_CAP}")
     out: list[IndexGrouping] = []
-
-    def rec(rgs: list[int], used: int) -> None:
-        if len(rgs) == H:
-            groups: list[list[int]] = [[] for _ in range(used)]
-            for level, g in enumerate(rgs, start=1):
-                groups[g].append(level)
-            out.append(IndexGrouping(tuple(tuple(g) for g in groups)))
-            return
-        for g in range(used + 1):
-            rgs.append(g)
-            rec(rgs, max(used, g + 1))
-            rgs.pop()
-
-    rec([0], 1)
+    for rgs in restricted_growth_strings(H, H):
+        groups: list[list[int]] = [[] for _ in range(max(rgs) + 1)]
+        for level, g in enumerate(rgs, start=1):
+            groups[g].append(level)
+        out.append(IndexGrouping(tuple(tuple(g) for g in groups)))
     return out
 
 

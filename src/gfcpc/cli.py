@@ -26,23 +26,25 @@ from .bounds import (
 from .codec import (
     BudgetExceeded,
     decode_block,
-    encoding_to_text,
     grouped_construct,
-    load_encoding,
     multi_step_construct,
-    store_encoding,
     verify_gfcpc,
 )
-from .drm import canonicalize_problem, drm_to_text, gfcpc_drm, read_drm
+from .drm import canonicalize_problem, gfcpc_drm
 from .errors import GfcpcError, InputError
-from .examples import (
-    EXAMPLE_IDS,
-    encoding_from_rows,
-    load_example,
+from .examples import EXAMPLE_IDS, encoding_from_rows, load_example
+from .formats import (
+    dcode_to_text,
+    drm_to_text,
+    encoding_to_text,
     load_problem_file,
+    parse_drm,
+    parse_encoding,
+    parse_partition,
+    partition_to_text,
 )
-from .partition import join_many, load_partition, partition_to_text
-from .solver import SearchBudget, dcode_to_text, min_length_dcode
+from .partition import join_many
+from .solver import SearchBudget, min_length_dcode
 from .space import Space
 
 EXIT_OK = 0
@@ -53,6 +55,10 @@ EXIT_BUDGET = 3
 
 def _budget(args: argparse.Namespace) -> SearchBudget:
     return SearchBudget(node_limit=args.budget_nodes)
+
+
+def _read(path: str) -> str:
+    return Path(path).read_text(encoding="utf-8")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -67,7 +73,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_join(args: argparse.Namespace) -> int:
-    parts = [load_partition(p) for p in args.partitions]
+    parts = [parse_partition(_read(p)) for p in args.partitions]
     joined = join_many(parts)
     _emit(partition_to_text(joined), args.output)
     return EXIT_OK
@@ -82,8 +88,7 @@ def cmd_drm(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    with open(args.drm, encoding="utf-8") as fh:
-        mat = read_drm(fh, Space(args.q, _drm_vec_len(args.drm)))
+    mat = parse_drm(_read(args.drm), args.q)
     res = min_length_dcode(mat, args.q, _budget(args))
     if not res.is_exact:
         print(f"budget exhausted: N in [{res.lower}, {res.upper}]")
@@ -93,14 +98,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.output:
         print(f"n {res.n}")
     return EXIT_OK
-
-
-def _drm_vec_len(path: str) -> int:
-    # The matrix dump does not carry k; infer it from the first msg line.
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.startswith("msg "):
-            return len(line.split()[2])
-    raise InputError(f"{path}: no 'msg' lines to infer vector length from")
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -124,10 +121,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         for g, r_g in zip(grouping, per_group):
             print(f"group {{{','.join(map(str, g))}}}  r {r_g}")
         print(f"total r {enc.r}")
-    if args.output:
-        store_encoding(enc, args.output)
-    else:
-        sys.stdout.write(encoding_to_text(enc))
+    _emit(encoding_to_text(enc), args.output)
     return EXIT_OK
 
 
@@ -140,7 +134,7 @@ def _parse_groups(spec: str) -> list[list[int]]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     prob, _ = load_problem_file(args.problem)
-    enc = load_encoding(args.encoding)
+    enc = parse_encoding(_read(args.encoding))
     report = verify_gfcpc(enc, prob)
     for v in report.violations:
         print(
@@ -204,7 +198,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    enc = load_encoding(args.encoding)
+    enc = parse_encoding(_read(args.encoding))
     prob, _ = load_problem_file(args.problem)
     if len(args.word) != enc.n:
         raise InputError(f"word length {len(args.word)}, expected k + r = {enc.n}")
@@ -440,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     except GfcpcError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -10,10 +10,8 @@ survive later steps.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
@@ -22,8 +20,6 @@ from .errors import InputError, ShapeError
 from .partition import Partition, join_many
 from .solver import SearchBudget, SolveResult, min_length_dcode
 from .space import Space, Vec, distance_matrix
-
-ENCODING_MAGIC = "gfcpc-encoding v1"
 
 
 @dataclass(frozen=True)
@@ -245,89 +241,3 @@ def decode_block(
     dist = distance_matrix([received], [enc.codeword(u) for u in vectors])[0]
     blocks = {part.block_of(vectors[i]) for i in np.flatnonzero(dist <= radius)}
     return blocks.pop() if len(blocks) == 1 else None
-
-
-# ---------------------------------------------------------------------------
-# File format: gfcpc-encoding v1
-
-
-def write_encoding(enc: SystematicEncoding, out: TextIO) -> None:
-    out.write(f"{ENCODING_MAGIC}\n")
-    out.write(f"q {enc.space.q}\n")
-    out.write(f"k {enc.space.k}\n")
-    out.write(f"r {enc.r}\n")
-    for u in enc.space.enumerate():
-        p = enc.parity[u]
-        ptext = "".join(str(s) for s in p)
-        line = f"row {enc.space.render(u)} {ptext}".rstrip()
-        out.write(line + "\n")
-
-
-def encoding_to_text(enc: SystematicEncoding) -> str:
-    buf = io.StringIO()
-    write_encoding(enc, buf)
-    return buf.getvalue()
-
-
-def read_encoding(src: TextIO) -> SystematicEncoding:
-    lines = src.read().splitlines()
-    if not lines or lines[0].strip() != ENCODING_MAGIC:
-        raise InputError(f"line 1: expected header {ENCODING_MAGIC!r}")
-    header = {}
-    for lineno, key in ((2, "q"), (3, "k"), (4, "r")):
-        if lineno > len(lines):
-            raise InputError(f"line {lineno}: expected '{key} <int>'")
-        fields = lines[lineno - 1].split()
-        if len(fields) != 2 or fields[0] != key:
-            raise InputError(f"line {lineno}: expected '{key} <int>'")
-        try:
-            header[key] = int(fields[1])
-        except ValueError:
-            raise InputError(f"line {lineno}: expected '{key} <int>'") from None
-    space = Space(header["q"], header["k"])
-    r = header["r"]
-    if r < 0:
-        raise InputError("line 4: r must be >= 0")
-    parity: dict[Vec, Vec] = {}
-    prev_rank = -1
-    for lineno, line in enumerate(lines[4:], start=5):
-        if not line.strip():
-            continue
-        fields = line.split()
-        if fields[0] != "row" or len(fields) not in (2, 3):
-            raise InputError(f"line {lineno}: expected 'row <message> <parity>'")
-        u = space.parse(fields[1])
-        if len(fields) == 2:
-            if r != 0:
-                raise InputError(f"line {lineno}: missing parity for r={r}")
-            p: Vec = ()
-        else:
-            if len(fields[2]) != r:
-                raise InputError(
-                    f"line {lineno}: parity length {len(fields[2])}, expected {r}"
-                )
-            try:
-                p = Space(space.q, r).parse(fields[2])
-            except InputError as e:
-                raise InputError(f"line {lineno}: parity {e}") from None
-        if u in parity:
-            raise InputError(f"line {lineno}: duplicate message {fields[1]}")
-        rank = space.rank(u)
-        if rank <= prev_rank:
-            raise InputError(f"line {lineno}: messages must be in lexicographic order")
-        prev_rank = rank
-        parity[u] = p
-    if len(parity) != space.size:
-        missing = next(u for u in space.enumerate() if u not in parity)
-        raise InputError(f"missing message row for {space.render(missing)}")
-    return SystematicEncoding(space, r, parity)
-
-
-def load_encoding(path: str | Path) -> SystematicEncoding:
-    with open(path, encoding="utf-8") as fh:
-        return read_encoding(fh)
-
-
-def store_encoding(enc: SystematicEncoding, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        write_encoding(enc, fh)

@@ -8,17 +8,14 @@ demand comes from the largest-index partition separating the pair.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InputError, ShapeError
 from .partition import Partition
 from .space import Space, Vec, distance_matrix, hamming_distance
-
-DRM_MAGIC = "gfcpc-drm v1"
 
 
 @dataclass(frozen=True)
@@ -167,63 +164,3 @@ def entrywise_max(ms: Sequence[RequirementMatrix]) -> RequirementMatrix:
     return RequirementMatrix(
         first.messages, tuple(map(tuple, entries)), tuple(map(tuple, levels))
     )
-
-
-# ---------------------------------------------------------------------------
-# File format: gfcpc-drm v1
-
-
-def write_drm(mat: RequirementMatrix, space: Space, out: TextIO) -> None:
-    out.write(f"{DRM_MAGIC}\n")
-    out.write(f"m {mat.m}\n")
-    for row in mat.entries:
-        out.write(" ".join(str(e) for e in row) + "\n")
-    for i, u in enumerate(mat.messages):
-        out.write(f"msg {i} {space.render(u)}\n")
-
-
-def drm_to_text(mat: RequirementMatrix, space: Space) -> str:
-    buf = io.StringIO()
-    write_drm(mat, space, buf)
-    return buf.getvalue()
-
-
-def read_drm(src: TextIO, space: Space) -> RequirementMatrix:
-    lines = [ln for ln in src.read().splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != DRM_MAGIC:
-        raise InputError(f"line 1: expected header {DRM_MAGIC!r}")
-    if len(lines) < 2 or not lines[1].startswith("m "):
-        raise InputError("line 2: expected 'm <M>'")
-    try:
-        m = int(lines[1].split()[1])
-    except (IndexError, ValueError):
-        raise InputError("line 2: expected 'm <M>'") from None
-    if len(lines) != 2 + 2 * m:
-        raise InputError(f"expected {2 + 2 * m} lines for m={m}, got {len(lines)}")
-    entries = []
-    for lineno, line in enumerate(lines[2 : 2 + m], start=3):
-        try:
-            row = tuple(int(x) for x in line.split())
-        except ValueError:
-            raise InputError(f"line {lineno}: non-integer matrix entry") from None
-        if len(row) != m:
-            raise InputError(f"line {lineno}: expected {m} entries, got {len(row)}")
-        if any(e < 0 for e in row):
-            raise InputError(f"line {lineno}: negative entry")
-        entries.append(row)
-    messages: list[Vec] = []
-    for lineno, line in enumerate(lines[2 + m :], start=3 + m):
-        fields = line.split()
-        if len(fields) != 3 or fields[0] != "msg" or fields[1] != str(len(messages)):
-            raise InputError(f"line {lineno}: expected 'msg {len(messages)} <vec>'")
-        messages.append(space.parse(fields[2]))
-    for i in range(m):
-        for j in range(m):
-            if entries[i][j] != entries[j][i]:
-                raise InputError(f"matrix not symmetric at ({i}, {j})")
-        if entries[i][i] != 0:
-            raise InputError(f"nonzero diagonal at ({i}, {i})")
-    levels = tuple(
-        tuple(None for _ in range(m)) for _ in range(m)
-    )
-    return RequirementMatrix(tuple(messages), tuple(entries), levels)

@@ -10,9 +10,9 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .codec import SystematicEncoding
-from .drm import Problem, canonicalize_problem
+from .drm import Problem
 from .errors import InputError
-from .partition import Partition, load_partition
+from .formats import load_problem_file
 from .space import Space, Vec
 
 EXAMPLE_IDS = ("ex1", "ex2", "ex3", "ex4", "ex5", "ex6")
@@ -22,71 +22,15 @@ def data_root() -> Path:
     return Path(str(files("gfcpc").joinpath("data")))
 
 
-def load_problem_file(path: str | Path) -> tuple[Problem, list[Vec] | None]:
-    """Parse a `gfcpc-problem v1` file; partition paths resolve relative to it.
-
-    Returns the canonicalized problem and the optional message subset.
-    """
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != "gfcpc-problem v1":
-        raise InputError("line 1: expected header 'gfcpc-problem v1'")
-    header = {}
-    for lineno, key in ((2, "q"), (3, "k")):
-        if lineno > len(lines):
-            raise InputError(f"line {lineno}: expected '{key} <int>'")
-        fields = lines[lineno - 1].split()
-        if len(fields) != 2 or fields[0] != key:
-            raise InputError(f"line {lineno}: expected '{key} <int>'")
-        try:
-            header[key] = int(fields[1])
-        except ValueError:
-            raise InputError(f"line {lineno}: expected '{key} <int>'") from None
-    space = Space(header["q"], header["k"])
-    partitions: list[Partition] = []
-    distances: list[int] = []
-    msgs: list[Vec] = []
-    for lineno, line in enumerate(lines[3:], start=4):
-        if not line.strip():
-            continue
-        fields = line.split()
-        if fields[0] == "partition":
-            if len(fields) != 3:
-                raise InputError(f"line {lineno}: expected 'partition <path> <distance>'")
-            part = load_partition(path.parent / fields[1])
-            if part.space != space:
-                raise InputError(
-                    f"line {lineno}: partition space {part.space} does not match problem space {space}"
-                )
-            try:
-                distances.append(int(fields[2]))
-            except ValueError:
-                raise InputError(f"line {lineno}: bad distance {fields[2]!r}") from None
-            partitions.append(part)
-        elif fields[0] == "msg":
-            if len(fields) != 2:
-                raise InputError(f"line {lineno}: expected 'msg <vec>'")
-            msgs.append(space.parse(fields[1]))
-        else:
-            raise InputError(f"line {lineno}: unknown record {fields[0]!r}")
-    if not partitions:
-        raise InputError("a problem file needs at least one partition line")
-    return canonicalize_problem(partitions, distances), (msgs or None)
-
-
 @dataclass(frozen=True)
 class ExampleBundle:
     exid: str
-    root: Path
     problem: Problem
     tables: dict[str, Any]
 
     @property
     def space(self) -> Space:
         return self.problem.space
-
-    def partition(self, stem: str) -> Partition:
-        return load_partition(self.root / f"{stem}.partition")
 
 
 def load_example(exid: str) -> ExampleBundle:
@@ -99,7 +43,7 @@ def load_example(exid: str) -> ExampleBundle:
         f = root / name
         if f.exists():
             tables.update(json.loads(f.read_text(encoding="utf-8")))
-    return ExampleBundle(exid, root, problem, tables)
+    return ExampleBundle(exid, problem, tables)
 
 
 def encoding_from_rows(space: Space, rows: Sequence[Sequence[Any]]) -> SystematicEncoding:

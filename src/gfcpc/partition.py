@@ -8,13 +8,10 @@ order. Construction validates disjointness and coverage eagerly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Hashable, Iterable, Sequence, TextIO
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import InputError, ShapeError
 from .space import Space, Vec
-
-PARTITION_MAGIC = "gfcpc-partition v1"
 
 
 @dataclass(frozen=True)
@@ -117,82 +114,3 @@ def is_refinement(fine: Partition, coarse: Partition) -> bool:
 
 def same_block(p: Partition, u: Vec, v: Vec) -> bool:
     return p.block_of(u) == p.block_of(v)
-
-
-# ---------------------------------------------------------------------------
-# File format: gfcpc-partition v1
-
-
-def write_partition(p: Partition, out: TextIO) -> None:
-    out.write(f"{PARTITION_MAGIC}\n")
-    out.write(f"q {p.space.q}\n")
-    out.write(f"k {p.space.k}\n")
-    for i, b in enumerate(p.blocks):
-        vecs = sorted(b, key=p.space.rank)
-        out.write(f"block {p.block_name(i)} " + " ".join(p.space.render(u) for u in vecs) + "\n")
-
-
-def partition_to_text(p: Partition) -> str:
-    import io
-
-    buf = io.StringIO()
-    write_partition(p, buf)
-    return buf.getvalue()
-
-
-def read_partition(src: TextIO) -> Partition:
-    lines = src.read().splitlines()
-    return parse_partition_lines(lines)
-
-
-def parse_partition_lines(lines: Sequence[str]) -> Partition:
-    def fail(lineno: int, msg: str) -> None:
-        raise InputError(f"line {lineno}: {msg}")
-
-    if not lines or lines[0].strip() != PARTITION_MAGIC:
-        fail(1, f"expected header {PARTITION_MAGIC!r}")
-    if len(lines) < 3:
-        fail(len(lines), "truncated partition file")
-    try:
-        q = int(lines[1].split()[1]) if lines[1].startswith("q ") else None
-        k = int(lines[2].split()[1]) if lines[2].startswith("k ") else None
-    except (IndexError, ValueError):
-        q = k = None
-    if q is None:
-        fail(2, "expected 'q <int>'")
-    if k is None:
-        fail(3, "expected 'k <int>'")
-    space = Space(q, k)
-    seen: dict[Vec, int] = {}
-    blocks: list[list[Vec]] = []
-    for lineno, line in enumerate(lines[3:], start=4):
-        if not line.strip():
-            continue
-        fields = line.split()
-        if fields[0] != "block" or len(fields) < 3:
-            fail(lineno, f"expected 'block <name> <vec> ...', got {line!r}")
-        block = []
-        for text in fields[2:]:
-            try:
-                u = space.parse(text)
-            except InputError as e:
-                fail(lineno, str(e))
-            if u in seen:
-                fail(lineno, f"duplicate vector {text} (also on line {seen[u]})")
-            seen[u] = lineno
-            block.append(u)
-        blocks.append(block)
-    if len(seen) != space.size:
-        missing = next(u for u in space.enumerate() if u not in seen)
-        raise InputError(f"missing vector {space.render(missing)} (space has {space.size} vectors)")
-    return Partition.from_blocks(space, blocks)
-
-
-def load_partition(path: str | Path) -> Partition:
-    with open(path, encoding="utf-8") as fh:
-        return read_partition(fh)
-
-
-def save_partition(p: Partition, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        write_partition(p, fh)

@@ -17,7 +17,8 @@ whose pairwise Hamming distances dominate the matrix. It has one dispatch:
 
 The first feasible length is the true minimum. A budget binds every stage:
 one deadline covers the whole call (HiGHS gets the time left), the node limit
-also caps each min-conflicts seed, and a stopped walk brackets N.
+also caps HiGHS's branch-and-bound nodes and each min-conflicts seed, and a
+stopped walk or an optimum above the length cap brackets N.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ import numpy as np
 from .drm import RequirementMatrix
 from .errors import CapacityError, InputError, ShapeError
 from .space import Vec, distance_matrix, hamming_distance
-
-DCODE_MAGIC = "gfcpc-dcode v1"
 
 _COLUMN_PATTERN_CAP = 20000
 # min-conflicts pre-pass: only worthwhile when the message count makes the
@@ -192,8 +191,12 @@ def _parity_dfs(
 # Column-pattern covering program and min-conflicts local search
 
 
-def _rgs_patterns(m: int, q: int) -> list[tuple[int, ...]]:
-    """Canonical column patterns: restricted-growth tuples of length m starting at 0."""
+def restricted_growth_strings(m: int, q: int) -> list[tuple[int, ...]]:
+    """Restricted-growth tuples of length m >= 1 over at most q symbols, lexicographic.
+
+    Each is the canonical form of a set partition of m items into at most q
+    parts: as a column pattern, the column up to symbol relabeling.
+    """
     patterns: list[tuple[int, ...]] = []
 
     def rec(prefix: list[int], used: int) -> None:
@@ -209,16 +212,24 @@ def _rgs_patterns(m: int, q: int) -> list[tuple[int, ...]]:
     return patterns
 
 
+def _pattern_count(m: int, q: int) -> int:
+    """len(restricted_growth_strings(m, q)): the Stirling numbers S(m, j) summed over j <= q."""
+    row = [1] + [0] * q  # row[j] = S(n, j), from n = 0
+    for _ in range(m):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, q + 1)]
+    return sum(row)
+
+
 def _milp_min_columns(
-    entries: list[list[int]], q: int, time_limit: float | None = None
+    entries: list[list[int]], q: int, options: dict[str, float] | None = None
 ) -> tuple[int, list[Vec]] | None:
     """Exact minimum length as an integer covering program over column patterns.
 
     Each column of a code is, up to symbol relabeling, one canonical pattern;
     a code of length r is a multiset of r patterns covering every pair's
-    demand. Returns None when the pattern space is too large, HiGHS stops
-    short of optimality (e.g. at `time_limit` seconds), or the solver result
-    fails re-verification.
+    demand. `options` go to HiGHS as they are. Returns None when the pattern
+    space is too large, HiGHS stops short of optimality (e.g. at its node or
+    time limit), or the solver result fails re-verification.
     """
     from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -226,11 +237,9 @@ def _milp_min_columns(
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m) if entries[i][j] > 0]
     if not pairs:
         return 0, [() for _ in range(m)]
-    if q ** (m - 1) > 4 * _COLUMN_PATTERN_CAP:
+    if _pattern_count(m, q) > _COLUMN_PATTERN_CAP:
         return None
-    patterns = _rgs_patterns(m, q)
-    if len(patterns) > _COLUMN_PATTERN_CAP:
-        return None
+    patterns = restricted_growth_strings(m, q)
     # a[pair, pattern] = 1 when the pattern separates the pair
     i, j = np.array(pairs).T
     pats = np.array(patterns)
@@ -241,7 +250,7 @@ def _milp_min_columns(
         constraints=LinearConstraint(a, lb=b),
         integrality=np.ones(len(patterns)),
         bounds=Bounds(0, np.inf),
-        options=None if time_limit is None else {"time_limit": time_limit},
+        options=options,
     )
     if res.status != 0 or res.x is None:
         return None
@@ -338,11 +347,17 @@ def min_length_dcode(
     inv = [0] * m
     for pos, idx in enumerate(order):
         inv[idx] = pos
-    time_limit = None if counter.deadline is None else max(counter.deadline - time.monotonic(), 0)
-    milp_result = _milp_min_columns(entries, q, time_limit)
+    # HiGHS takes its node limit as a 32-bit int
+    options: dict[str, float] = {"node_limit": min(budget.node_limit, 2**31 - 1)}
+    if counter.deadline is not None:
+        options["time_limit"] = max(counter.deadline - time.monotonic(), 0)
+    milp_result = _milp_min_columns(entries, q, options)
     if milp_result is not None:
         n, found = milp_result
         assert n >= lb
+        if n > cap:
+            # the optimum lies past the caller's length cap
+            return SolveResult(status="budget", lower=max(lb, cap + 1), upper=n)
         parities = tuple(found[inv[i]] for i in range(m))
         return SolveResult(
             status="exact", lower=n, upper=n, n=n, witness=DcodeWitness(n, parities)
@@ -416,15 +431,3 @@ def brute_force_ndcode_oracle(
         if found:
             return r
     return None
-
-
-# ---------------------------------------------------------------------------
-# File format: gfcpc-dcode v1
-
-
-def dcode_to_text(witness: DcodeWitness) -> str:
-    lines = [DCODE_MAGIC, f"n {witness.length}"]
-    for i, p in enumerate(witness.parities):
-        text = "".join(str(s) for s in p) if p else "-"
-        lines.append(f"parity {i} {text}")
-    return "\n".join(lines) + "\n"

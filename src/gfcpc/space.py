@@ -50,7 +50,7 @@ class Space:
     def enumerate(self) -> Iterator[Vec]:
         """All q^k vectors in lexicographic order, coordinate 1 most significant."""
         if self.size > _ENUM_CAP:
-            raise CapacityError(f"q^k = {self.size} exceeds enumeration cap {_ENUM_CAP}")
+            raise CapacityError(f"q^k = {self.q}^{self.k} exceeds enumeration cap {_ENUM_CAP}")
         return itertools.product(range(self.q), repeat=self.k)
 
     def vectors(self) -> tuple[Vec, ...]:
@@ -88,7 +88,7 @@ class Space:
             raise InputError(f"vector text {text!r} has length {len(text)}, expected {self.k}")
         u = []
         for ch in text:
-            if not ch.isdigit():
+            if ch not in "0123456789":  # isdigit() admits "²", which int() rejects
                 raise InputError(f"vector text {text!r} contains non-digit {ch!r}")
             s = int(ch)
             if s >= self.q:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import pytest
+
 from gfcpc.cli import main
-from gfcpc.codec import multi_step_construct, store_encoding
+from gfcpc.codec import multi_step_construct
 from gfcpc.examples import data_root, load_example
-from gfcpc.partition import load_partition, save_partition
+from gfcpc.formats import encoding_to_text, parse_partition, partition_to_text
 
 
 EX1 = data_root() / "ex1"
@@ -28,7 +30,7 @@ def test_join_writes_partition(tmp_path, capsys):
         str(out),
     )
     assert code == 0
-    joined = load_partition(out)
+    joined = parse_partition(out.read_text())
     ex = load_example("ex1")
     assert len(joined) == 9
 
@@ -91,7 +93,7 @@ def test_verify_reports_violations(tmp_path, capsys):
 
     bad = SystematicEncoding(space, 0, {u: () for u in space.enumerate()})
     enc_file = tmp_path / "bad.txt"
-    store_encoding(bad, enc_file)
+    enc_file.write_text(encoding_to_text(bad))
     code, out = run(capsys, "verify", str(EX1 / "problem.txt"), str(enc_file))
     assert code == 1
     assert "violate h=" in out
@@ -125,8 +127,8 @@ def test_bound_inapplicable_is_success(tmp_path, capsys):
     space = Space(2, 2)
     p1 = Partition.from_blocks(space, [[(0, 0), (1, 0)], [(0, 1), (1, 1)]])
     p2 = Partition.from_blocks(space, [[(0, 0), (0, 1)], [(1, 0), (1, 1)]])
-    save_partition(p1, tmp_path / "p1.partition")
-    save_partition(p2, tmp_path / "p2.partition")
+    (tmp_path / "p1.partition").write_text(partition_to_text(p1))
+    (tmp_path / "p2.partition").write_text(partition_to_text(p2))
     prob_file = tmp_path / "problem.txt"
     prob_file.write_text(
         "gfcpc-problem v1\nq 2\nk 2\n"
@@ -141,7 +143,7 @@ def test_decode_roundtrip(tmp_path, capsys):
     ex = load_example("ex1")
     enc, _ = multi_step_construct(ex.problem)
     enc_file = tmp_path / "enc.txt"
-    store_encoding(enc, enc_file)
+    enc_file.write_text(encoding_to_text(enc))
     cw = enc.codeword((1, 0, 0))
     word = list(cw)
     word[4] = (word[4] + 1) % 3  # one symbol error
@@ -158,7 +160,7 @@ def test_decode_failure_exit_code(tmp_path, capsys):
     ex = load_example("ex1")
     enc, _ = multi_step_construct(ex.problem)
     enc_file = tmp_path / "enc.txt"
-    store_encoding(enc, enc_file)
+    enc_file.write_text(encoding_to_text(enc))
     cw = enc.codeword((0, 0, 0))
     code, out = run(
         capsys,
@@ -179,7 +181,7 @@ def test_decode_rejects_bad_digits(tmp_path, capsys):
     ex = load_example("ex1")
     enc, _ = multi_step_construct(ex.problem)
     enc_file = tmp_path / "enc.txt"
-    store_encoding(enc, enc_file)
+    enc_file.write_text(encoding_to_text(enc))
     problem = str(EX1 / "problem.txt")
     word = "".join(str(s) for s in enc.codeword((0, 0, 0)))
     # a non-digit symbol in the received word
@@ -210,3 +212,52 @@ def test_reproduce_ex5(capsys):
     code, out = run(capsys, "reproduce", "ex5")
     assert code == 0
     assert "2/2 checks passed" in out
+
+
+GOOD_FILES = {
+    "p.partition": "gfcpc-partition v1\nq 2\nk 2\nblock 00 00 01\nblock 10 10 11\n",
+    "problem.txt": "gfcpc-problem v1\nq 2\nk 2\npartition p.partition 3\n",
+    "enc.txt": "gfcpc-encoding v1\nq 2\nk 2\nr 1\nrow 00 0\nrow 01 0\nrow 10 1\nrow 11 1\n",
+    "drm.txt": "gfcpc-drm v1\nm 2\n0 1\n1 0\nmsg 0 00\nmsg 1 10\n",
+}
+DRM = ["drm", "problem.txt"]
+JOIN = ["join", "p.partition"]
+VERIFY = ["verify", "problem.txt", "enc.txt"]
+SOLVE = ["solve", "drm.txt", "--q", "2"]
+
+
+@pytest.mark.parametrize(
+    "name, old, new, argv, lineno",
+    [
+        ("problem.txt", "3\n", "3\nmsg 0x\n", DRM, 5),
+        ("problem.txt", "3\n", "3\nmsg 01\nmsg 01\n", DRM, 6),
+        ("problem.txt", "k 2", "k -1", DRM, 3),
+        ("problem.txt", "p.partition", "missing.partition", DRM, 4),
+        ("problem.txt", "p.partition 3", "p.partition 0", DRM, 4),
+        ("p.partition", "q 2", "q 1", DRM, 4),
+        ("p.partition", "q 2", "q 1", JOIN, 2),
+        ("p.partition", "k 2", "k 0", JOIN, 3),
+        ("enc.txt", "row 01", "row 0x", VERIFY, 6),
+        ("enc.txt", "q 2", "q 11", VERIFY, 2),
+        ("drm.txt", "msg 1 10", "msg 1 0x", SOLVE, 6),
+        ("drm.txt", "m 2", "m -1", SOLVE, 2),
+    ],
+)
+def test_malformed_file_reports_line(tmp_path, capsys, name, old, new, argv, lineno):
+    for file, text in GOOD_FILES.items():
+        (tmp_path / file).write_text(text.replace(old, new) if file == name else text)
+    args = [str(tmp_path / a) if a in GOOD_FILES else a for a in argv]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {lineno}: ")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe\x00", b"gfcpc-partition v1\nq 2\nk 20000\n"],
+    ids=["not-utf8", "space-too-large"],
+)
+def test_unusable_file_exits_2(tmp_path, capsys, content):
+    bad = tmp_path / "bad.partition"
+    bad.write_bytes(content)
+    assert main(["join", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

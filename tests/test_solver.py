@@ -138,7 +138,25 @@ def test_wall_clock_reaches_highs():
         limit = spy.call_args.kwargs["options"]["time_limit"]
         assert 0 < limit <= 30
         min_length_dcode(mat, 2)
-        assert spy.call_args.kwargs["options"] is None
+        assert "time_limit" not in spy.call_args.kwargs["options"]
+
+
+def test_node_limit_reaches_highs():
+    import scipy.optimize
+
+    # milp pops node_limit off the options it is given, so record a copy
+    seen = []
+    real = scipy.optimize.milp
+
+    def record(*args, **kwargs):
+        seen.append(dict(kwargs["options"]))
+        return real(*args, **kwargs)
+
+    mat = mat_from_entries([[0, 3, 2, 1], [3, 0, 2, 2], [2, 2, 0, 3], [1, 2, 3, 0]])
+    with mock.patch.object(scipy.optimize, "milp", record):
+        min_length_dcode(mat, 2, SearchBudget(node_limit=7))
+        min_length_dcode(mat, 2, SearchBudget(node_limit=10**12))
+    assert [o["node_limit"] for o in seen] == [7, 2**31 - 1]
 
 
 def test_max_length_cap():
@@ -148,6 +166,11 @@ def test_max_length_cap():
     res = min_length_dcode(mat, 2, SearchBudget(max_length=7))
     assert res.status == "budget"
     assert res.lower >= 8
+    # small enough for the covering program, whose optimum 4 exceeds the cap
+    mat = mat_from_entries([[0, 3, 2, 1], [3, 0, 2, 2], [2, 2, 0, 3], [1, 2, 3, 0]])
+    res = min_length_dcode(mat, 2, SearchBudget(node_limit=1, max_length=1))
+    assert res.status == "budget"
+    assert 2 <= res.lower <= 4 <= res.upper
 
 
 def _dfs_ladder(mat, q):
@@ -205,6 +228,7 @@ def test_budget_result_brackets_minimum(seed, q, max_length, node_limit, skip_co
     assert res.lower <= n <= res.upper
     if res.is_exact:
         assert res.n == n and verify_dcode(res.witness.parities, mat)[0]
+        assert max_length is None or res.n <= max_length
 
 
 def test_oracle_capacity_guards():

@@ -36,6 +36,12 @@ def test_enumeration_cap():
         list(Space(10, 8).enumerate())
 
 
+def test_enumeration_cap_on_a_huge_space():
+    # q^k has more digits than int-to-str conversion allows by default
+    with pytest.raises(CapacityError, match=r"2\^20000"):
+        list(Space(2, 20000).enumerate())
+
+
 @given(spaces, st.data())
 def test_rank_unrank_roundtrip(space, data):
     u = data.draw(vec_strategy(space))
@@ -63,6 +69,13 @@ def test_parse_rejects_bad_text():
         space.parse("012")
     with pytest.raises(InputError):
         space.parse("0a1")
+
+
+@pytest.mark.parametrize("text", ["0²1", "0١1", "0１1"])
+def test_parse_rejects_non_ascii_digits(text):
+    # str.isdigit accepts these; only ASCII digits are symbols
+    with pytest.raises(InputError, match="non-digit"):
+        Space(2, 3).parse(text)
 
 
 def test_validate_errors():
