@@ -34,7 +34,6 @@ from .drm import (
     Problem,
     RequirementMatrix,
     canonicalize_problem,
-    entrywise_max,
     gfcpc_drm,
     single_drm,
 )
@@ -69,7 +68,6 @@ from .solver import (
     DcodeWitness,
     SearchBudget,
     SolveResult,
-    brute_force_ndcode_oracle,
     lower_bound_pairwise,
     lower_bound_triples,
     min_length_dcode,

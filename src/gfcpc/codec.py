@@ -36,6 +36,7 @@ class SystematicEncoding:
                 f"parity map covers {len(self.parity)} of {self.space.size} messages"
             )
         for u, p in self.parity.items():
+            self.space.validate(u)
             if len(p) != self.r:
                 raise InputError(
                     f"parity for {self.space.render(u)} has length {len(p)}, expected {self.r}"

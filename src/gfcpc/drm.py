@@ -136,31 +136,3 @@ def gfcpc_drm(prob: Problem, msgs: Sequence[Vec]) -> RequirementMatrix:
         tuple(tuple(h or None for h in row) for row in source.tolist()),
     )
 
-
-def entrywise_max(ms: Sequence[RequirementMatrix]) -> RequirementMatrix:
-    """Entry-by-entry maximum over matrices sharing one message order."""
-    if not ms:
-        raise InputError("entrywise_max needs at least one matrix")
-    first = ms[0]
-    for other in ms[1:]:
-        if other.messages != first.messages:
-            raise ShapeError("requirement matrices use different message orders")
-    m = first.m
-    entries = [[0] * m for _ in range(m)]
-    levels: list[list[int | None]] = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            best = max(mat.entries[i][j] for mat in ms)
-            entries[i][j] = best
-            # largest contributing matrix index wins on ties
-            contributing = [
-                idx
-                for idx, mat in enumerate(ms, start=1)
-                if mat.source_level[i][j] is not None and mat.entries[i][j] == best
-            ]
-            levels[i][j] = max(contributing) if contributing else None
-    return RequirementMatrix(
-        first.messages, tuple(map(tuple, entries)), tuple(map(tuple, levels))
-    )

@@ -17,7 +17,7 @@ from typing import Container
 
 from .codec import SystematicEncoding
 from .drm import Problem, RequirementMatrix, canonicalize_problem
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .partition import Partition
 from .solver import DcodeWitness
 from .space import Space, Vec
@@ -52,6 +52,13 @@ def _read(text: str, magic: str, header: tuple[str, ...]) -> tuple[dict[str, int
         if key == "q" and value > 10:
             raise InputError(f"line {lineno}: q must be <= 10 (one digit per symbol), got {value}")
         values[key] = value
+    if "k" in values:
+        # no valid file lives in a space too large to enumerate: partitions and
+        # encodings list every vector, and a problem's partitions share its space
+        try:
+            Space(values["q"], values["k"]).enumerate()
+        except CapacityError as e:
+            raise InputError(f"line {header.index('k') + 2}: {e}") from None
     first = len(header) + 2
     records = [
         (lineno, fields)

@@ -8,12 +8,17 @@ whose pairwise Hamming distances dominate the matrix. It has one dispatch:
   of patterns, so the minimum length is the optimum of a small integer
   program, solved exactly with HiGHS via scipy;
 * otherwise, or when HiGHS stops short of an optimum, it walks lengths
-  upward from a certified lower bound. At each length a seeded
-  min-conflicts pass hunts for a witness (for six or more messages), and a
-  parity-first depth-first search either finds one or certifies the length
+  upward from a certified lower bound. A parity-first depth-first search
+  decides each length: it finds a witness or certifies the length
   infeasible. The search assigns whole parity vectors message by message
   and breaks the per-coordinate symbol-relabeling symmetry, a
-  distance-preserving transformation, so exactness is kept.
+  distance-preserving transformation, so exactness is kept. For six or more
+  messages a length is decided in rounds: round k runs a min-conflicts
+  pass with seed k and b repairs, then the DFS capped at 30 b nodes (one
+  repair costs about 30 nodes of time); a DFS that finishes within its cap
+  decides the length, otherwise b doubles. The third round's DFS runs to
+  the caller's node limit. Neither method dominates: local search finds
+  loose witnesses fast, and the DFS proves tight lengths infeasible fast.
 
 The first feasible length is the true minimum. A budget binds every stage:
 one deadline covers the whole call (HiGHS gets the time left), the node limit
@@ -31,15 +36,18 @@ from typing import Sequence
 import numpy as np
 
 from .drm import RequirementMatrix
-from .errors import CapacityError, InputError, ShapeError
+from .errors import InputError, ShapeError
 from .space import Vec, distance_matrix, hamming_distance
 
 _COLUMN_PATTERN_CAP = 20000
-# min-conflicts pre-pass: only worthwhile when the message count makes the
+# min-conflicts rounds: only worthwhile when the message count makes the
 # exhaustive search risky and the candidate space is nontrivial
 _LOCAL_SEARCH_MIN_M = 6
 _LOCAL_SEARCH_SEEDS = 3
-_LOCAL_SEARCH_ITERS = 30000
+# first round's repairs: every seed-0 success on the paper's examples and the
+# benchmark's search pool takes at most 2,806
+_FIRST_ROUND_REPAIRS = 4000
+_NODES_PER_REPAIR = 30
 
 
 @dataclass(frozen=True)
@@ -89,18 +97,28 @@ class _BudgetExhausted(Exception):
     pass
 
 
+class _RoundCapReached(Exception):
+    pass
+
+
 class _Counter:
-    __slots__ = ("nodes", "limit", "deadline")
+    """Search nodes against the caller's limit and deadline, and a round's own cap.
+
+    `stop` is the round cap, never above `limit`: passing `limit` or the
+    deadline raises _BudgetExhausted, passing only the cap _RoundCapReached.
+    """
+
+    __slots__ = ("nodes", "limit", "stop", "deadline")
 
     def __init__(self, limit: int, wall_clock_s: float | None):
         self.nodes = 0
-        self.limit = limit
+        self.limit = self.stop = limit
         self.deadline = None if wall_clock_s is None else time.monotonic() + wall_clock_s
 
     def tick(self, amount: int = 1) -> None:
         self.nodes += amount
-        if self.nodes > self.limit:
-            raise _BudgetExhausted
+        if self.nodes > self.stop:
+            raise _BudgetExhausted if self.nodes > self.limit else _RoundCapReached
         if self.deadline is not None and (self.nodes & 0xFFF) == 0:
             if time.monotonic() > self.deadline:
                 raise _BudgetExhausted
@@ -231,14 +249,15 @@ def _milp_min_columns(
     space is too large, HiGHS stops short of optimality (e.g. at its node or
     time limit), or the solver result fails re-verification.
     """
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
     m = len(entries)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m) if entries[i][j] > 0]
     if not pairs:
         return 0, [() for _ in range(m)]
     if _pattern_count(m, q) > _COLUMN_PATTERN_CAP:
         return None
+    # imported here: the import costs about 0.5 s, which a walk-only solve skips
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     patterns = restricted_growth_strings(m, q)
     # a[pair, pattern] = 1 when the pattern separates the pair
     i, j = np.array(pairs).T
@@ -261,61 +280,90 @@ def _milp_min_columns(
     return len(cols), parities
 
 
-def _local_search(entries: list[list[int]], q: int, r: int, counter: _Counter) -> list[Vec] | None:
+def _local_search(
+    entries: list[list[int]], q: int, r: int, counter: _Counter, seed: int, repairs: int
+) -> list[Vec] | None:
     """Seeded min-conflicts hunt for a length-r witness; sound but incomplete.
 
     Repeatedly repairs a violated pair by the single-symbol change that
     minimizes the touched message's total deficit, with occasional random
-    walk steps: at most counter.limit uncharged repairs a seed, never past
-    its deadline. A returned assignment meets every demand; failure proves nothing.
+    walk steps: at most min(repairs, counter.limit) uncharged repairs, never
+    past the deadline. A returned assignment meets every demand; failure
+    proves nothing.
     """
     if r < 1:
         return None
     m = len(entries)
     e = np.array(entries)
-    for seed in range(_LOCAL_SEARCH_SEEDS):
-        rng = np.random.default_rng(seed)
-        p = rng.integers(0, q, size=(m, r))
-        dist = distance_matrix(p.tolist())
-        deficit = np.maximum(e - dist, 0)
-        np.fill_diagonal(deficit, 0)
-        for _ in range(min(_LOCAL_SEARCH_ITERS, counter.limit)):
-            if counter.deadline is not None and time.monotonic() > counter.deadline:
-                return None
-            viol = np.argwhere(deficit > 0)
-            if viol.size == 0:
-                normal = (p - p[0]) % q
-                return [tuple(int(x) for x in row) for row in normal]
-            a, b = viol[rng.integers(len(viol))]
-            i = int(a if rng.random() < 0.5 else b)
-            cur = p[i].copy()
-            moves = [(c, v) for c in range(r) for v in range(q) if v != cur[c]]
-            if rng.random() < 0.05:
-                c, v = moves[rng.integers(len(moves))]
-            else:
-                best = None
-                best_cost = None
-                for idx in rng.permutation(len(moves)):
-                    c, v = moves[idx]
-                    p[i, c] = v
-                    d_i = (p[i][None, :] != p).sum(axis=1)
-                    cost = int(np.maximum(e[i] - d_i, 0).sum()) - max(e[i][i] - r, 0)
-                    p[i, c] = cur[c]
-                    if best_cost is None or cost < best_cost:
-                        best, best_cost = (c, v), cost
-                assert best is not None
-                c, v = best
-            p[i, c] = v
-            d_i = (p[i][None, :] != p).sum(axis=1)
-            row = np.maximum(e[i] - d_i, 0)
-            row[i] = 0
-            deficit[i] = row
-            deficit[:, i] = row
+    rng = np.random.default_rng(seed)
+    p = rng.integers(0, q, size=(m, r))
+    dist = distance_matrix(p.tolist())
+    deficit = np.maximum(e - dist, 0)
+    np.fill_diagonal(deficit, 0)
+    for _ in range(min(repairs, counter.limit)):
+        if counter.deadline is not None and time.monotonic() > counter.deadline:
+            return None
+        viol = np.argwhere(deficit > 0)
+        if viol.size == 0:
+            normal = (p - p[0]) % q
+            return [tuple(int(x) for x in row) for row in normal]
+        a, b = viol[rng.integers(len(viol))]
+        i = int(a if rng.random() < 0.5 else b)
+        cur = p[i].copy()
+        moves = [(c, v) for c in range(r) for v in range(q) if v != cur[c]]
+        if rng.random() < 0.05:
+            c, v = moves[rng.integers(len(moves))]
+        else:
+            best = None
+            best_cost = None
+            for idx in rng.permutation(len(moves)):
+                c, v = moves[idx]
+                p[i, c] = v
+                d_i = (p[i][None, :] != p).sum(axis=1)
+                cost = int(np.maximum(e[i] - d_i, 0).sum()) - max(e[i][i] - r, 0)
+                p[i, c] = cur[c]
+                if best_cost is None or cost < best_cost:
+                    best, best_cost = (c, v), cost
+            assert best is not None
+            c, v = best
+        p[i, c] = v
+        d_i = (p[i][None, :] != p).sum(axis=1)
+        row = np.maximum(e[i] - d_i, 0)
+        row[i] = 0
+        deficit[i] = row
+        deficit[:, i] = row
     return None
 
 
 # ---------------------------------------------------------------------------
 # Exact minimum length
+
+
+def _decide_length(
+    entries: list[list[int]], q: int, r: int, counter: _Counter
+) -> list[Vec] | None:
+    """A length-r witness, or None once the DFS proves there is none.
+
+    With six or more messages, local search and a capped DFS take turns
+    under doubling budgets; the last round's DFS runs to the caller's limit.
+    Raises _BudgetExhausted when the caller's node limit or deadline runs out.
+    """
+    if len(entries) >= _LOCAL_SEARCH_MIN_M:
+        repairs = _FIRST_ROUND_REPAIRS
+        for seed in range(_LOCAL_SEARCH_SEEDS):
+            found = _local_search(entries, q, r, counter, seed, repairs)
+            if found is not None:
+                return found
+            if seed == _LOCAL_SEARCH_SEEDS - 1:
+                break
+            counter.stop = min(counter.limit, counter.nodes + _NODES_PER_REPAIR * repairs)
+            try:
+                return _parity_dfs(entries, q, r, counter)
+            except _RoundCapReached:
+                repairs *= 2
+            finally:
+                counter.stop = counter.limit
+    return _parity_dfs(entries, q, r, counter)
 
 
 def min_length_dcode(
@@ -364,12 +412,8 @@ def min_length_dcode(
         )
     r = lb
     while r <= cap:
-        found = None
-        if m >= _LOCAL_SEARCH_MIN_M:
-            found = _local_search(entries, q, r, counter)
         try:
-            if found is None:
-                found = _parity_dfs(entries, q, r, counter)
+            found = _decide_length(entries, q, r, counter)
         except _BudgetExhausted:
             return SolveResult(status="budget", lower=r, upper=nat_ub, nodes=counter.nodes)
         if found is not None:
@@ -385,49 +429,3 @@ def min_length_dcode(
         return SolveResult(status="budget", lower=r, upper=nat_ub, nodes=counter.nodes)
     raise AssertionError("dedicated-segment code must be feasible at its own length")
 
-
-def brute_force_ndcode_oracle(
-    D: RequirementMatrix, q: int, r_max: int
-) -> int | None:
-    """Independent exhaustive oracle for tests: full enumeration, first parity all-zero.
-
-    Returns the smallest feasible length <= r_max, or None. Only intended for
-    tiny instances (M <= 4); larger requests are refused.
-    """
-    m = D.m
-    if m > 4:
-        raise CapacityError(f"oracle supports M <= 4, got M={m}")
-    if q**r_max > 2**13:
-        raise CapacityError(f"oracle enumeration q^r = {q**r_max} too large")
-    if m <= 1:
-        return 0
-    for r in range(r_max + 1):
-        dist = distance_matrix(list(itertools.product(range(q), repeat=r)))
-        d0 = dist[0]
-        if m == 2:
-            if (d0 >= D.entries[0][1]).any():
-                return r
-            continue
-        cand2 = np.flatnonzero(d0 >= D.entries[0][1])
-        found = False
-        for i2 in cand2:
-            mask3 = (d0 >= D.entries[0][2]) & (dist[i2] >= D.entries[1][2])
-            if m == 3:
-                if mask3.any():
-                    found = True
-                    break
-                continue
-            for i3 in np.flatnonzero(mask3):
-                mask4 = (
-                    (d0 >= D.entries[0][3])
-                    & (dist[i2] >= D.entries[1][3])
-                    & (dist[i3] >= D.entries[2][3])
-                )
-                if mask4.any():
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            return r
-    return None

@@ -25,10 +25,10 @@ from gfcpc.codec import decode_block, grouped_construct, multi_step_construct, v
 from gfcpc.drm import RequirementMatrix, canonicalize_problem, gfcpc_drm
 from gfcpc.examples import encoding_from_rows, load_example
 from gfcpc.partition import join_many, same_block
-from gfcpc.solver import brute_force_ndcode_oracle, min_length_dcode
+from gfcpc.solver import min_length_dcode
 from gfcpc.space import hamming_distance, hamming_weight
 
-from conftest import random_problem
+from conftest import brute_force_ndcode_oracle, random_problem
 
 
 @pytest.fixture

@@ -219,3 +219,27 @@ def test_exact_certificate_verifies():
     enc = rep.certificate["encoding"]
     assert enc.r == rep.value
     assert verify_gfcpc(enc, prob).valid
+
+
+def test_exact_walk_proves_the_hard_search_instance():
+    # The hard instance of the benchmark's search pool: local search cannot
+    # reach length 6, the lower bound, so the first round's capped DFS must
+    # prove 6 infeasible before the walk settles at 7. The node count pins
+    # that proof to the first round.
+    labels = [
+        [0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1, 1, 0],
+        [0, 1, 0, 1, 1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1, 0],
+        [0, 1, 2, 2, 0, 2, 1, 0, 0, 0, 1, 0, 0, 2, 0, 1],
+    ]
+    space = Space(2, 4)
+    parts = []
+    for row in labels:
+        blocks = {}
+        for u, b in zip(space.vectors(), row):
+            blocks.setdefault(b, []).append(u)
+        parts.append(Partition.from_blocks(space, blocks.values()))
+    prob = canonicalize_problem(parts, [3, 5, 5])
+    rep = optimal_redundancy_exact(prob, SearchBudget(node_limit=100_000))
+    assert rep.status == "exact"
+    assert rep.value == 7
+    assert rep.certificate["nodes"] == 28352

@@ -51,6 +51,14 @@ def test_encoding_validation():
     assert enc.n == 2
 
 
+def test_encoding_rejects_messages_outside_its_space():
+    space = Space(2, 1)
+    with pytest.raises(InputError):
+        SystematicEncoding(space, 1, {(0,): (0,), (5,): (1,)})
+    with pytest.raises(ShapeError):
+        SystematicEncoding(space, 1, {(0,): (0,), (1, 0): (1,)})
+
+
 def test_verify_gfcpc_reports_violations():
     prob = _two_level_problem()
     space = prob.space

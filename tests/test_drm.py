@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from gfcpc.drm import (
     canonicalize_problem,
-    entrywise_max,
     gfcpc_drm,
     single_drm,
 )
@@ -16,7 +15,7 @@ from gfcpc.errors import InputError, ShapeError
 from gfcpc.partition import Partition, same_block
 from gfcpc.space import Space, hamming_distance
 
-from conftest import random_problem
+from conftest import entrywise_max, random_problem
 
 
 def _parts(space, *blocks_text):

@@ -146,6 +146,15 @@ def test_dcode_text_shape():
             assert len(fields[2]) == res.n
 
 
+def test_header_space_too_large_to_enumerate():
+    for parse, text in (
+        (parse_partition, "gfcpc-partition v1\nq 3\nk 30\n"),
+        (parse_encoding, "gfcpc-encoding v1\nq 3\nk 30\nr 0\n"),
+    ):
+        with pytest.raises(InputError, match=r"^line 3: q\^k = 3\^30"):
+            parse(text)
+
+
 # Replacement tokens: header keys, record kinds, edge values, partition
 # references that are valid, missing, a directory or binary, and odd digits.
 TOKENS = [
@@ -157,14 +166,19 @@ TOKENS = [
 
 @st.composite
 def mutated(draw, text):
-    """Drop, duplicate or swap lines, or replace one token, one to four times."""
+    """Drop, duplicate or swap lines, replace one token, or keep only the
+    header with k = 30 (a space too large to enumerate), one to four times."""
     lines = text.splitlines()
     for _ in range(draw(st.integers(1, 4))):
         if not lines:
             break
         i = draw(st.integers(0, len(lines) - 1))
-        op = draw(st.sampled_from(["drop", "duplicate", "swap", "token"]))
-        if op == "drop":
+        op = draw(st.sampled_from(["drop", "duplicate", "swap", "token", "huge"]))
+        if op == "huge":
+            header = [line for line in lines if line.startswith("gfcpc-")
+                      or line.split()[:1] in (["q"], ["k"], ["m"], ["r"])]
+            lines = ["k 30" if line.startswith("k ") else line for line in header]
+        elif op == "drop":
             del lines[i]
         elif op == "duplicate":
             lines.insert(i, lines[i])

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gfcpc
 from gfcpc import solver
 from gfcpc.drm import RequirementMatrix
 from gfcpc.errors import CapacityError, ShapeError
@@ -16,12 +21,13 @@ from gfcpc.solver import (
     _Counter,
     _milp_min_columns,
     _parity_dfs,
-    brute_force_ndcode_oracle,
     lower_bound_pairwise,
     lower_bound_triples,
     min_length_dcode,
     verify_dcode,
 )
+
+from conftest import brute_force_ndcode_oracle
 
 
 def mat_from_entries(entries):
@@ -120,7 +126,7 @@ def test_budget_exhaustion_brackets():
 
 def test_wall_clock_binds_local_search():
     # Same instance with no node limit: only the deadline stops the
-    # min-conflicts pass short of its 3 x 30,000 repairs per length.
+    # min-conflicts rounds short of their 28,000 repairs per length.
     m = 18
     entries = [[0 if i == j else 5 for j in range(m)] for i in range(m)]
     t0 = time.monotonic()
@@ -229,6 +235,71 @@ def test_budget_result_brackets_minimum(seed, q, max_length, node_limit, skip_co
     if res.is_exact:
         assert res.n == n and verify_dcode(res.witness.parities, mat)[0]
         assert max_length is None or res.n <= max_length
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([2, 3]),
+    st.one_of(st.none(), st.integers(0, 12)),
+    st.integers(1, 100_000),
+    st.one_of(st.none(), st.floats(0, 0.2)),
+    st.sampled_from([solver._FIRST_ROUND_REPAIRS, 1]),
+)
+def test_budget_binds_every_round(seed, q, max_length, node_limit, wall_clock_s, first_repairs):
+    # Six or more messages, so local search and the capped DFS take turns;
+    # m <= 7 at q=3 keeps the unbudgeted covering program quick. A first
+    # round of one repair (a 30-node DFS cap) makes every round run.
+    rng = random.Random(seed)
+    m = rng.randint(6, 9 if q == 2 else 7)
+    entries = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            entries[i][j] = entries[j][i] = rng.randint(0, 5)
+    mat = mat_from_entries(entries)
+    n = min_length_dcode(mat, q).n
+    budget = SearchBudget(max_length=max_length, node_limit=node_limit, wall_clock_s=wall_clock_s)
+    with (
+        mock.patch.object(solver, "_milp_min_columns", lambda *_: None),
+        mock.patch.object(solver, "_FIRST_ROUND_REPAIRS", first_repairs),
+    ):
+        res = min_length_dcode(mat, q, budget)
+    assert res.lower <= n <= res.upper
+    assert res.nodes <= node_limit + 1
+    if res.is_exact:
+        assert res.n == n and verify_dcode(res.witness.parities, mat)[0]
+
+
+@pytest.mark.parametrize("budget", [SearchBudget(node_limit=1000), SearchBudget(wall_clock_s=0)])
+def test_budget_ends_the_walk_inside_a_capped_round(budget):
+    # The first round's DFS cap (30 x 4,000 nodes) lies far past this budget,
+    # so the budget runs out inside that round: the walk must stop there,
+    # not start the next round's local search.
+    m = 18
+    entries = [[0 if i == j else 5 for j in range(m)] for i in range(m)]
+    with (
+        mock.patch.object(solver, "_milp_min_columns", lambda *_: None),
+        mock.patch.object(solver, "_local_search", wraps=solver._local_search) as spy,
+    ):
+        res = min_length_dcode(mat_from_entries(entries), 2, budget)
+    assert res.status == "budget"
+    assert spy.call_count == 1
+
+
+def test_walk_only_solve_skips_scipy_import():
+    # 16 binary messages exceed the covering program's pattern cap, so HiGHS
+    # never runs and scipy.optimize (about 0.5 s to import) stays unloaded.
+    code = (
+        "import sys\n"
+        "from gfcpc import Space, canonicalize_problem, finest, gfcpc_drm, min_length_dcode\n"
+        "space = Space(2, 4)\n"
+        "mat = gfcpc_drm(canonicalize_problem([finest(space)], [3]), space.vectors())\n"
+        "assert min_length_dcode(mat, 2).n == 3\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    src = str(Path(gfcpc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_oracle_capacity_guards():
