@@ -13,12 +13,11 @@ whose pairwise Hamming distances dominate the matrix. It has one dispatch:
   infeasible. The search assigns whole parity vectors message by message
   and breaks the per-coordinate symbol-relabeling symmetry, a
   distance-preserving transformation, so exactness is kept. For six or more
-  messages a length is decided in rounds: round k runs a min-conflicts
-  pass with seed k and b repairs, then the DFS capped at 30 b nodes (one
-  repair costs about 30 nodes of time); a DFS that finishes within its cap
-  decides the length, otherwise b doubles. The third round's DFS runs to
-  the caller's node limit. Neither method dominates: local search finds
-  loose witnesses fast, and the DFS proves tight lengths infeasible fast.
+  messages a short round comes first: 4,000 min-conflicts repairs, then the
+  DFS capped at 120,000 nodes; if neither decides, 3 seeds x 30,000 repairs
+  run and the paused DFS resumes, to the caller's node limit. Neither method
+  dominates: local search finds loose witnesses fast, and the DFS proves
+  tight lengths infeasible fast.
 
 The first feasible length is the true minimum. A budget binds every stage:
 one deadline covers the whole call (HiGHS gets the time left), the node limit
@@ -31,7 +30,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Generator, Sequence
 
 import numpy as np
 
@@ -40,14 +39,16 @@ from .errors import InputError, ShapeError
 from .space import Vec, distance_matrix, hamming_distance
 
 _COLUMN_PATTERN_CAP = 20000
-# min-conflicts rounds: only worthwhile when the message count makes the
+# min-conflicts pass: only worthwhile when the message count makes the
 # exhaustive search risky and the candidate space is nontrivial
 _LOCAL_SEARCH_MIN_M = 6
 _LOCAL_SEARCH_SEEDS = 3
-# first round's repairs: every seed-0 success on the paper's examples and the
-# benchmark's search pool takes at most 2,806
+_LOCAL_SEARCH_ITERS = 30000
+# the short first round: every seed-0 success on the paper's examples and the
+# benchmark's search pool takes at most 2,806 repairs, and one repair costs
+# about the time of 30 DFS nodes
 _FIRST_ROUND_REPAIRS = 4000
-_NODES_PER_REPAIR = 30
+_FIRST_ROUND_NODES = 30 * _FIRST_ROUND_REPAIRS
 
 
 @dataclass(frozen=True)
@@ -97,15 +98,11 @@ class _BudgetExhausted(Exception):
     pass
 
 
-class _RoundCapReached(Exception):
-    pass
-
-
 class _Counter:
     """Search nodes against the caller's limit and deadline, and a round's own cap.
 
     `stop` is the round cap, never above `limit`: passing `limit` or the
-    deadline raises _BudgetExhausted, passing only the cap _RoundCapReached.
+    deadline raises _BudgetExhausted; tick returns True past the cap alone.
     """
 
     __slots__ = ("nodes", "limit", "stop", "deadline")
@@ -115,13 +112,16 @@ class _Counter:
         self.limit = self.stop = limit
         self.deadline = None if wall_clock_s is None else time.monotonic() + wall_clock_s
 
-    def tick(self, amount: int = 1) -> None:
+    def tick(self, amount: int = 1) -> bool:
         self.nodes += amount
         if self.nodes > self.stop:
-            raise _BudgetExhausted if self.nodes > self.limit else _RoundCapReached
+            if self.nodes > self.limit:
+                raise _BudgetExhausted
+            return True
         if self.deadline is not None and (self.nodes & 0xFFF) == 0:
             if time.monotonic() > self.deadline:
                 raise _BudgetExhausted
+        return False
 
 
 def verify_dcode(
@@ -167,20 +167,26 @@ def _natural_upper_bound(entries: Sequence[Sequence[int]]) -> int:
 # Parity-first depth-first search
 
 
-def _parity_dfs(
+def _parity_search(
     entries: list[list[int]], q: int, r: int, counter: _Counter
-) -> list[Vec] | None:
+) -> Generator[None, None, list[Vec] | None]:
+    """Parity-first DFS for a length-r witness; returns it, or None if there is none.
+
+    Yields (pauses) each time a node passes the counter's round cap; a later
+    next() resumes it where it stopped, so no node is searched or charged twice.
+    """
     m = len(entries)
     parities: list[Vec] = [(0,) * r]
     fresh = [1] * r  # distinct symbols already used per coordinate (symbol 0 counts)
 
-    def rec(i: int) -> bool:
+    def rec(i: int) -> Generator[None, None, bool]:
         if i == m:
             return True
         row = entries[i]
         ranges = [range(min(fresh[c] + 1, q)) for c in range(r)]
         for cand in itertools.product(*ranges):
-            counter.tick()
+            if counter.tick():
+                yield
             ok = True
             for j in range(i):
                 need = row[j]
@@ -193,7 +199,7 @@ def _parity_dfs(
             for c in bumped:
                 fresh[c] += 1
             parities.append(cand)
-            if rec(i + 1):
+            if (yield from rec(i + 1)):
                 return True
             parities.pop()
             for c in bumped:
@@ -202,7 +208,22 @@ def _parity_dfs(
 
     if m == 0:
         return []
-    return parities if rec(1) else None
+    return parities if (yield from rec(1)) else None
+
+
+def _finish(search: Generator[None, None, list[Vec] | None]) -> list[Vec] | None:
+    """Run a DFS to its end; the counter's round cap must be lifted."""
+    try:
+        next(search)
+    except StopIteration as end:
+        return end.value
+    raise AssertionError("the DFS pauses only at a round cap")
+
+
+def _parity_dfs(
+    entries: list[list[int]], q: int, r: int, counter: _Counter
+) -> list[Vec] | None:
+    return _finish(_parity_search(entries, q, r, counter))
 
 
 # ---------------------------------------------------------------------------
@@ -344,26 +365,27 @@ def _decide_length(
 ) -> list[Vec] | None:
     """A length-r witness, or None once the DFS proves there is none.
 
-    With six or more messages, local search and a capped DFS take turns
-    under doubling budgets; the last round's DFS runs to the caller's limit.
-    Raises _BudgetExhausted when the caller's node limit or deadline runs out.
+    Raises _BudgetExhausted when the caller's node limit or deadline runs
+    out, inside the capped first round too.
     """
-    if len(entries) >= _LOCAL_SEARCH_MIN_M:
-        repairs = _FIRST_ROUND_REPAIRS
-        for seed in range(_LOCAL_SEARCH_SEEDS):
-            found = _local_search(entries, q, r, counter, seed, repairs)
-            if found is not None:
-                return found
-            if seed == _LOCAL_SEARCH_SEEDS - 1:
-                break
-            counter.stop = min(counter.limit, counter.nodes + _NODES_PER_REPAIR * repairs)
-            try:
-                return _parity_dfs(entries, q, r, counter)
-            except _RoundCapReached:
-                repairs *= 2
-            finally:
-                counter.stop = counter.limit
-    return _parity_dfs(entries, q, r, counter)
+    if len(entries) < _LOCAL_SEARCH_MIN_M:
+        return _parity_dfs(entries, q, r, counter)
+    found = _local_search(entries, q, r, counter, 0, _FIRST_ROUND_REPAIRS)
+    if found is not None:
+        return found
+    search = _parity_search(entries, q, r, counter)
+    counter.stop = min(counter.limit, counter.nodes + _FIRST_ROUND_NODES)
+    try:
+        next(search)  # returns only when the DFS pauses at the round cap
+    except StopIteration as end:
+        return end.value
+    finally:
+        counter.stop = counter.limit
+    for seed in range(_LOCAL_SEARCH_SEEDS):
+        found = _local_search(entries, q, r, counter, seed, _LOCAL_SEARCH_ITERS)
+        if found is not None:
+            return found
+    return _finish(search)
 
 
 def min_length_dcode(

@@ -49,7 +49,8 @@ class Space:
 
     def enumerate(self) -> Iterator[Vec]:
         """All q^k vectors in lexicographic order, coordinate 1 most significant."""
-        if self.size > _ENUM_CAP:
+        # q >= 2, so a k of the cap's bit length passes it; tested before q**k is built
+        if self.k >= _ENUM_CAP.bit_length() or self.size > _ENUM_CAP:
             raise CapacityError(f"q^k = {self.q}^{self.k} exceeds enumeration cap {_ENUM_CAP}")
         return itertools.product(range(self.q), repeat=self.k)
 

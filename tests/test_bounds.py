@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 
+from gfcpc import solver
 from gfcpc.bounds import (
     BoundReport,
     IndexGrouping,
@@ -221,11 +223,8 @@ def test_exact_certificate_verifies():
     assert verify_gfcpc(enc, prob).valid
 
 
-def test_exact_walk_proves_the_hard_search_instance():
-    # The hard instance of the benchmark's search pool: local search cannot
-    # reach length 6, the lower bound, so the first round's capped DFS must
-    # prove 6 infeasible before the walk settles at 7. The node count pins
-    # that proof to the first round.
+def _hard_search_problem():
+    """The hard instance of the benchmark's search pool."""
     labels = [
         [0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1, 1, 0],
         [0, 1, 0, 1, 1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1, 0],
@@ -238,8 +237,31 @@ def test_exact_walk_proves_the_hard_search_instance():
         for u, b in zip(space.vectors(), row):
             blocks.setdefault(b, []).append(u)
         parts.append(Partition.from_blocks(space, blocks.values()))
-    prob = canonicalize_problem(parts, [3, 5, 5])
-    rep = optimal_redundancy_exact(prob, SearchBudget(node_limit=100_000))
+    return canonicalize_problem(parts, [3, 5, 5])
+
+
+def test_exact_walk_proves_the_hard_search_instance():
+    # Local search cannot reach length 6, the lower bound, so the first
+    # round's capped DFS must prove 6 infeasible before the walk settles at
+    # 7. The node count pins that proof to the first round.
+    rep = optimal_redundancy_exact(_hard_search_problem(), SearchBudget(node_limit=100_000))
+    assert rep.status == "exact"
+    assert rep.value == 7
+    assert rep.certificate["nodes"] == 28352
+
+
+@pytest.mark.parametrize("round_nodes", [0, 1000])
+def test_paused_dfs_resumes_without_recharging(round_nodes):
+    # A first-round cap of 0 or 1,000 nodes pauses the length-6 DFS; after
+    # the full local search (cut to 50 repairs a seed) it must resume where
+    # it stopped, so the proof still takes 28,352 nodes in all and fits a
+    # node limit of exactly that. A DFS restarted from the root charges the
+    # paused nodes twice and runs out of budget.
+    with (
+        mock.patch.object(solver, "_FIRST_ROUND_NODES", round_nodes),
+        mock.patch.object(solver, "_LOCAL_SEARCH_ITERS", 50),
+    ):
+        rep = optimal_redundancy_exact(_hard_search_problem(), SearchBudget(node_limit=28352))
     assert rep.status == "exact"
     assert rep.value == 7
     assert rep.certificate["nodes"] == 28352

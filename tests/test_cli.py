@@ -261,3 +261,11 @@ def test_unusable_file_exits_2(tmp_path, capsys, content):
     bad.write_bytes(content)
     assert main(["join", str(bad)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_huge_header_with_records_exits_2(tmp_path, capsys):
+    # refused at the k line, before q**k is built or a record is read
+    bad = tmp_path / "bad.partition"
+    bad.write_text("gfcpc-partition v1\nq 2\nk 10000000000\n0 0\n1 1\n")
+    assert main(["join", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 3: q^k = 2^10000000000 exceeds")

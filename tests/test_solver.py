@@ -126,7 +126,7 @@ def test_budget_exhaustion_brackets():
 
 def test_wall_clock_binds_local_search():
     # Same instance with no node limit: only the deadline stops the
-    # min-conflicts rounds short of their 28,000 repairs per length.
+    # min-conflicts pass short of its 4,000 + 3 x 30,000 repairs per length.
     m = 18
     entries = [[0 if i == j else 5 for j in range(m)] for i in range(m)]
     t0 = time.monotonic()
@@ -244,12 +244,14 @@ def test_budget_result_brackets_minimum(seed, q, max_length, node_limit, skip_co
     st.one_of(st.none(), st.integers(0, 12)),
     st.integers(1, 100_000),
     st.one_of(st.none(), st.floats(0, 0.2)),
-    st.sampled_from([solver._FIRST_ROUND_REPAIRS, 1]),
+    st.sampled_from([solver._FIRST_ROUND_NODES, 30]),
 )
-def test_budget_binds_every_round(seed, q, max_length, node_limit, wall_clock_s, first_repairs):
-    # Six or more messages, so local search and the capped DFS take turns;
-    # m <= 7 at q=3 keeps the unbudgeted covering program quick. A first
-    # round of one repair (a 30-node DFS cap) makes every round run.
+def test_budget_binds_the_walk_with_a_paused_dfs(
+    seed, q, max_length, node_limit, wall_clock_s, round_nodes
+):
+    # Six or more messages, so the short round runs; m <= 7 at q=3 keeps the
+    # unbudgeted covering program quick. A 30-node round cap makes the DFS
+    # pause and resume; 100 repairs a seed keep the full local search quick.
     rng = random.Random(seed)
     m = rng.randint(6, 9 if q == 2 else 7)
     entries = [[0] * m for _ in range(m)]
@@ -261,7 +263,8 @@ def test_budget_binds_every_round(seed, q, max_length, node_limit, wall_clock_s,
     budget = SearchBudget(max_length=max_length, node_limit=node_limit, wall_clock_s=wall_clock_s)
     with (
         mock.patch.object(solver, "_milp_min_columns", lambda *_: None),
-        mock.patch.object(solver, "_FIRST_ROUND_REPAIRS", first_repairs),
+        mock.patch.object(solver, "_FIRST_ROUND_NODES", round_nodes),
+        mock.patch.object(solver, "_LOCAL_SEARCH_ITERS", 100),
     ):
         res = min_length_dcode(mat, q, budget)
     assert res.lower <= n <= res.upper
@@ -272,9 +275,9 @@ def test_budget_binds_every_round(seed, q, max_length, node_limit, wall_clock_s,
 
 @pytest.mark.parametrize("budget", [SearchBudget(node_limit=1000), SearchBudget(wall_clock_s=0)])
 def test_budget_ends_the_walk_inside_a_capped_round(budget):
-    # The first round's DFS cap (30 x 4,000 nodes) lies far past this budget,
+    # The first round's DFS cap (120,000 nodes) lies far past this budget,
     # so the budget runs out inside that round: the walk must stop there,
-    # not start the next round's local search.
+    # not go on to the full local search.
     m = 18
     entries = [[0 if i == j else 5 for j in range(m)] for i in range(m)]
     with (

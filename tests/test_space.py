@@ -42,6 +42,15 @@ def test_enumeration_cap_on_a_huge_space():
         list(Space(2, 20000).enumerate())
 
 
+def test_enumeration_cap_at_its_edge_and_far_past_it():
+    # 2^23 fits under the 10^7 cap and 2^24 does not; k = 10^10 must be
+    # refused before q**k, a gigabyte-sized integer, is built
+    assert Space(2, 23).enumerate() is not None
+    for k in (24, 10**10):
+        with pytest.raises(CapacityError, match=rf"2\^{k} exceeds"):
+            Space(2, k).enumerate()
+
+
 @given(spaces, st.data())
 def test_rank_unrank_roundtrip(space, data):
     u = data.draw(vec_strategy(space))
