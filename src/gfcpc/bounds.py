@@ -15,7 +15,7 @@ from .codec import SystematicEncoding, group_code, multi_step_construct
 from .drm import Problem, canonicalize_problem, gfcpc_drm
 from .errors import CapacityError, DomainError, InputError
 from .partition import Partition, join_many
-from .solver import SearchBudget, min_length_dcode, restricted_growth_strings
+from .solver import SearchBudget, SolveResult, min_length_dcode, restricted_growth_strings
 from .space import Vec, hamming_distance, neighbors
 
 # Bell(8) = 4140 groupings; beyond that the enumeration is no longer desk scale.
@@ -72,6 +72,11 @@ def enumerate_index_groupings(H: int) -> list[IndexGrouping]:
     return out
 
 
+def _solve_drm(prob: Problem, msgs: Sequence[Vec], budget: SearchBudget | None) -> SolveResult:
+    """N of prob's requirement matrix on msgs; `lower` bounds N, finished or not."""
+    return min_length_dcode(gfcpc_drm(prob, msgs), prob.space.q, budget)
+
+
 def lower_bound_joins(
     prob: Problem, budget: SearchBudget | None = None
 ) -> BoundReport:
@@ -85,11 +90,8 @@ def lower_bound_joins(
     terms = []
     for h in range(1, prob.H + 1):
         q_h = join_many(prob.partitions[h - 1 :])
-        mat = gfcpc_drm(canonicalize_problem([q_h], [prob.distances[h - 1]]), msgs)
-        res = min_length_dcode(mat, prob.space.q, budget)
-        terms.append(
-            {"h": h, "value": res.n if res.is_exact else res.lower, "exact": res.is_exact}
-        )
+        res = _solve_drm(canonicalize_problem([q_h], [prob.distances[h - 1]]), msgs, budget)
+        terms.append({"h": h, "value": res.lower, "exact": res.is_exact})
     best = max(terms, key=lambda t: t["value"])
     return BoundReport(
         kind="lower-join",
@@ -103,12 +105,10 @@ def lower_bound_drm_submatrix(
     prob: Problem, msgs: Sequence[Vec], budget: SearchBudget | None = None
 ) -> BoundReport:
     """N of the requirement matrix restricted to a chosen message subset."""
-    mat = gfcpc_drm(prob, msgs)
-    res = min_length_dcode(mat, prob.space.q, budget)
-    value = res.n if res.is_exact else res.lower
+    res = _solve_drm(prob, msgs, budget)
     return BoundReport(
         kind="lower-drm-submatrix",
-        value=value,
+        value=res.lower,
         status="lower",
         certificate={"messages": tuple(tuple(u) for u in msgs), "exact": res.is_exact},
     )
@@ -134,10 +134,19 @@ def lower_bound_trivial(prob: Problem) -> BoundReport:
     raise AssertionError("a multi-block partition must split some adjacent pair")
 
 
+def _require_binary(what: str, *qs: int, H: int = 2) -> None:
+    """The domain of the binary bounds and their witness scans: q = 2, H = 2."""
+    if any(q != 2 for q in qs):
+        # a scan over two partitions has no single q to name
+        got = f", got q = {qs[0]}" if len(qs) == 1 else ""
+        raise DomainError(f"{what} requires q = 2{got}")
+    if H != 2:
+        raise InputError(f"{what} requires H = 2, got H = {H}")
+
+
 def scan_binary_triple_witness(p2: Partition) -> tuple[Vec, Vec, Vec] | None:
     """First (u, v, w) with d(u,v) = d(u,w) = 1, d(v,w) = 2, in three distinct blocks."""
-    if p2.space.q != 2:
-        raise DomainError(f"binary witness scan requires q = 2, got q = {p2.space.q}")
+    _require_binary("binary witness scan", p2.space.q)
     for u in p2.space.enumerate():
         nbrs = neighbors(p2.space, u)
         for a in range(len(nbrs)):
@@ -151,10 +160,7 @@ def scan_binary_triple_witness(p2: Partition) -> tuple[Vec, Vec, Vec] | None:
 
 def binary_triple_bound(prob: Problem) -> BoundReport:
     """ceil(3 d_2 / 2 - 2) when a three-block adjacent triple exists in P_2."""
-    if prob.space.q != 2:
-        raise DomainError(f"binary triple bound requires q = 2, got q = {prob.space.q}")
-    if prob.H != 2:
-        raise InputError(f"binary triple bound requires H = 2, got H = {prob.H}")
+    _require_binary("binary triple bound", prob.space.q, H=prob.H)
     witness = scan_binary_triple_witness(prob.partitions[1])
     if witness is None:
         return BoundReport(
@@ -178,8 +184,7 @@ def scan_binary_structural_witness(
     blocks, and one of them has a neighbor outside B. Condition 2: same but
     d(v, w) = 2 with a common neighbor outside B.
     """
-    if p1.space.q != 2 or p2.space.q != 2:
-        raise DomainError("binary witness scan requires q = 2")
+    _require_binary("binary witness scan", p1.space.q, p2.space.q)
     space = p2.space
     for condition in (1, 2):
         for bi, block in enumerate(p2.blocks):
@@ -205,12 +210,7 @@ def scan_binary_structural_witness(
 
 def binary_structural_bound(prob: Problem) -> BoundReport:
     """ceil(d_2 + d_1 / 2 - 2) when a structural witness exists."""
-    if prob.space.q != 2:
-        raise DomainError(
-            f"binary structural bound requires q = 2, got q = {prob.space.q}"
-        )
-    if prob.H != 2:
-        raise InputError(f"binary structural bound requires H = 2, got H = {prob.H}")
+    _require_binary("binary structural bound", prob.space.q, H=prob.H)
     witness = scan_binary_structural_witness(prob.partitions[0], prob.partitions[1])
     if witness is None:
         return BoundReport(
@@ -288,8 +288,7 @@ def optimal_redundancy_exact(
 ) -> BoundReport:
     """Exact optimal redundancy: minimum length for the full-space requirement matrix."""
     msgs = prob.space.vectors()
-    mat = gfcpc_drm(prob, msgs)
-    res = min_length_dcode(mat, prob.space.q, budget)
+    res = _solve_drm(prob, msgs, budget)
     if res.is_exact:
         assert res.witness is not None and res.n is not None
         enc = SystematicEncoding(prob.space, res.n, dict(zip(msgs, res.witness.parities)))

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from .bounds import (
+    BOUND_KINDS,
     BoundReport,
     binary_structural_bound,
     binary_triple_bound,
@@ -102,7 +103,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     prob, _ = load_problem_file(args.problem)
-    if args.mode == "multistep":
+    if args.groups:
+        grouping = _parse_groups(args.groups)
+        enc, per_group = grouped_construct(prob, grouping, _budget(args))
+        for g, r_g in zip(grouping, per_group):
+            print(f"group {{{','.join(map(str, g))}}}  r {r_g}")
+        print(f"total r {enc.r}")
+    else:
         try:
             enc, trace = multi_step_construct(prob, _budget(args))
         except BudgetExceeded as e:
@@ -113,23 +120,17 @@ def cmd_construct(args: argparse.Namespace) -> int:
         for step in trace.steps:
             print(f"step {step.h}  blocks {len(step.join_partition)}  r_h {step.r_h}")
         print(f"total r {enc.r}")
-    else:
-        if not args.groups:
-            raise InputError("grouped mode requires --groups, e.g. '1,2|3'")
-        grouping = _parse_groups(args.groups)
-        enc, per_group = grouped_construct(prob, grouping, _budget(args))
-        for g, r_g in zip(grouping, per_group):
-            print(f"group {{{','.join(map(str, g))}}}  r {r_g}")
-        print(f"total r {enc.r}")
     _emit(encoding_to_text(enc), args.output)
     return EXIT_OK
 
 
 def _parse_groups(spec: str) -> list[list[int]]:
+    """'3|2,1' -> [[1, 2], [3]]: the canonical order grouped_construct reports in."""
     try:
-        return [[int(x) for x in part.split(",")] for part in spec.split("|")]
+        groups = [sorted({int(x) for x in part.split(",")}) for part in spec.split("|")]
     except ValueError:
         raise InputError(f"bad grouping spec {spec!r}; expected e.g. '1,2|3'") from None
+    return sorted(groups)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -149,7 +150,7 @@ def _print_report(rep: BoundReport, prob) -> None:
     cert = rep.certificate
     if rep.kind == "upper-grouping":
         sys.stdout.write(grouping_table_text(rep))
-    elif rep.kind in ("lower-binary-triple",) and "u" in cert:
+    elif rep.kind == "lower-binary-triple" and "u" in cert:
         r = prob.space.render
         print(f"witness u={r(cert['u'])} v={r(cert['v'])} w={r(cert['w'])}")
     elif rep.kind == "lower-binary-structural" and "u" in cert:
@@ -166,35 +167,26 @@ def _print_report(rep: BoundReport, prob) -> None:
 def cmd_bound(args: argparse.Namespace) -> int:
     prob, file_msgs = load_problem_file(args.problem)
     budget = _budget(args)
-    kind = args.kind
-    if kind == "lower-join":
-        rep = lower_bound_joins(prob, budget)
-    elif kind == "upper-grouping":
-        rep = upper_bound_grouping(prob, budget)
-    elif kind == "upper-multistep":
-        rep = upper_bound_multistep(prob, budget)
-    elif kind == "drm-sub":
-        if args.msgs:
-            msgs = [prob.space.parse(t) for t in args.msgs.split(",")]
-        elif file_msgs:
-            msgs = file_msgs
-        else:
-            raise InputError("drm-sub needs --msgs or msg lines in the problem file")
-        rep = lower_bound_drm_submatrix(prob, msgs, budget)
-    elif kind == "trivial":
-        rep = lower_bound_trivial(prob)
-    elif kind == "binary-triple":
-        rep = binary_triple_bound(prob)
-    elif kind == "binary-structural":
-        rep = binary_structural_bound(prob)
-    elif kind == "exact":
-        rep = optimal_redundancy_exact(prob, budget)
-    else:
-        raise InputError(f"unknown bound kind {kind!r}")
+
+    def submatrix() -> BoundReport:
+        msgs = [prob.space.parse(t) for t in args.msgs.split(",")] if args.msgs else file_msgs
+        if not msgs:
+            raise InputError("lower-drm-submatrix needs --msgs or msg lines in the problem file")
+        return lower_bound_drm_submatrix(prob, msgs, budget)
+
+    bounds = {
+        "lower-join": lambda: lower_bound_joins(prob, budget),
+        "lower-drm-submatrix": submatrix,
+        "lower-trivial": lambda: lower_bound_trivial(prob),
+        "lower-binary-triple": lambda: binary_triple_bound(prob),
+        "lower-binary-structural": lambda: binary_structural_bound(prob),
+        "upper-grouping": lambda: upper_bound_grouping(prob, budget),
+        "upper-multistep": lambda: upper_bound_multistep(prob, budget),
+        "exact": lambda: optimal_redundancy_exact(prob, budget),
+    }
+    rep = bounds[args.kind]()
     _print_report(rep, prob)
-    if rep.status == "interval":
-        return EXIT_BUDGET
-    return EXIT_OK
+    return EXIT_BUDGET if rep.status == "interval" else EXIT_OK
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
@@ -392,8 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", parents=[common], help="build an encoding")
     p.add_argument("problem", help="problem file")
-    p.add_argument("--mode", choices=["multistep", "grouped"], default="multistep")
-    p.add_argument("--groups", default=None, help="grouping spec for grouped mode, e.g. '1,2|3'")
+    p.add_argument("--groups", default=None,
+                   help="build the grouped code for this grouping of levels, e.g. '1,2|3';"
+                        " without it, the staged construction runs")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", parents=[common], help="check an encoding against a problem")
@@ -403,10 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", parents=[common], help="evaluate a redundancy bound")
     p.add_argument("problem", help="problem file")
-    p.add_argument("--kind", required=True,
-                   choices=["lower-join", "upper-grouping", "upper-multistep", "drm-sub",
-                            "trivial", "binary-triple", "binary-structural", "exact"])
-    p.add_argument("--msgs", default=None, help="comma-separated messages for drm-sub")
+    p.add_argument("--kind", required=True, choices=BOUND_KINDS)
+    p.add_argument("--msgs", default=None,
+                   help="comma-separated messages for lower-drm-submatrix")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("decode", parents=[common], help="recover a partition block")

@@ -63,7 +63,6 @@ class ConstructionStep:
 
 @dataclass(frozen=True)
 class ConstructionTrace:
-    mode: str
     steps: tuple[ConstructionStep, ...]
 
     @property
@@ -160,7 +159,7 @@ def multi_step_construct(
             continue
         res = min_length_dcode(mat, space.q, budget)
         if not res.is_exact:
-            raise BudgetExceeded(res, ConstructionTrace("block-constant", tuple(steps)))
+            raise BudgetExceeded(res, ConstructionTrace(tuple(steps)))
         assert res.witness is not None
         block_parity = res.witness.parities
         for u in vectors:
@@ -168,7 +167,7 @@ def multi_step_construct(
         steps.append(ConstructionStep(h, q_h, res.n or 0, block_parity))
     total_r = len(next(iter(cumulative.values()))) if vectors else 0
     enc = SystematicEncoding(space, total_r, dict(cumulative))
-    return enc, ConstructionTrace("block-constant", tuple(steps))
+    return enc, ConstructionTrace(tuple(steps))
 
 
 def group_code(
@@ -210,7 +209,7 @@ def grouped_construct(
     for g in groups:
         joined, res = group_code(prob, g, budget)
         if not res.is_exact:
-            raise BudgetExceeded(res, ConstructionTrace("grouped", ()))
+            raise BudgetExceeded(res, ConstructionTrace(()))
         assert res.witness is not None
         per_group.append(res.n or 0)
         for u in vectors:

@@ -20,9 +20,10 @@ whose pairwise Hamming distances dominate the matrix. It has one dispatch:
   tight lengths infeasible fast.
 
 The first feasible length is the true minimum. A budget binds every stage:
-one deadline covers the whole call (HiGHS gets the time left), the node limit
-also caps HiGHS's branch-and-bound nodes and each min-conflicts seed, and a
-stopped walk or an optimum above the length cap brackets N.
+one deadline covers the whole call (HiGHS gets the time left, and the walk
+reads the clock before each length), the node limit also caps HiGHS's
+branch-and-bound nodes and each min-conflicts seed, and a stopped walk or an
+optimum above the length cap brackets N.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class SearchBudget:
 class SolveResult:
     """Outcome of min_length_dcode.
 
-    status 'exact': n is the certified minimum length and witness attains it.
+    status 'exact': n = lower = upper is the certified minimum; witness attains it.
     status 'budget': the search stopped early; [lower, upper] brackets N.
     """
 
@@ -118,10 +119,12 @@ class _Counter:
             if self.nodes > self.limit:
                 raise _BudgetExhausted
             return True
-        if self.deadline is not None and (self.nodes & 0xFFF) == 0:
-            if time.monotonic() > self.deadline:
-                raise _BudgetExhausted
+        if (self.nodes & 0xFFF) == 0 and self.expired():
+            raise _BudgetExhausted
         return False
+
+    def expired(self) -> bool:
+        return self.deadline is not None and time.monotonic() > self.deadline
 
 
 def verify_dcode(
@@ -322,7 +325,7 @@ def _local_search(
     deficit = np.maximum(e - dist, 0)
     np.fill_diagonal(deficit, 0)
     for _ in range(min(repairs, counter.limit)):
-        if counter.deadline is not None and time.monotonic() > counter.deadline:
+        if counter.expired():
             return None
         viol = np.argwhere(deficit > 0)
         if viol.size == 0:
@@ -366,8 +369,11 @@ def _decide_length(
     """A length-r witness, or None once the DFS proves there is none.
 
     Raises _BudgetExhausted when the caller's node limit or deadline runs
-    out, inside the capped first round too.
+    out, inside the capped first round too, and at the start if the deadline
+    has passed: a short search may finish before it reads the clock.
     """
+    if counter.expired():
+        raise _BudgetExhausted
     if len(entries) < _LOCAL_SEARCH_MIN_M:
         return _parity_dfs(entries, q, r, counter)
     found = _local_search(entries, q, r, counter, 0, _FIRST_ROUND_REPAIRS)

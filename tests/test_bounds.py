@@ -4,6 +4,8 @@ import random
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfcpc import solver
 from gfcpc.bounds import (
@@ -21,6 +23,7 @@ from gfcpc.bounds import (
     upper_bound_grouping,
     upper_bound_multistep,
 )
+from gfcpc.codec import BudgetExceeded
 from gfcpc.drm import canonicalize_problem
 from gfcpc.errors import CapacityError, DomainError, InputError
 from gfcpc.partition import Partition, finest
@@ -210,6 +213,44 @@ def test_bound_ordering_on_random_problems():
         assert sub.value <= exact.value <= upper_m.value
         assert triv.value <= exact.value
     assert checked >= 8
+
+
+BUDGETS = st.builds(
+    SearchBudget,
+    max_length=st.none() | st.integers(0, 6),
+    node_limit=st.integers(1, 3000),
+    wall_clock_s=st.sampled_from([None, 0]),
+)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 10**6), BUDGETS)
+def test_bound_ordering_under_budgets(seed, budget):
+    # Under any budget a lower bound never passes an upper bound, and both
+    # bracket the optimum whenever it is still found exactly.
+    prob = random_problem(random.Random(seed), q=2, k_max=3, h_max=3, d_max=5)
+    reports = [
+        lower_bound_joins(prob, budget),
+        lower_bound_drm_submatrix(prob, prob.space.vectors()[:4], budget),
+        lower_bound_trivial(prob),
+        upper_bound_grouping(prob, budget),
+    ]
+    if prob.H == 2:
+        reports += [binary_triple_bound(prob), binary_structural_bound(prob)]
+    try:
+        reports.append(upper_bound_multistep(prob, budget))
+    except BudgetExceeded:
+        pass  # the staged construction gives no code, so no upper bound
+    lows = [rep.value for rep in reports if rep.status == "lower"]
+    ups = [rep.value for rep in reports if rep.status == "upper"]
+    exact = optimal_redundancy_exact(prob, budget)
+    if exact.status == "exact":
+        lows.append(exact.value)
+        ups.append(exact.value)
+    else:
+        lows.append(exact.certificate["lower"])
+        ups.append(exact.certificate["upper"])
+    assert max(lows) <= min(ups)
 
 
 def test_exact_certificate_verifies():

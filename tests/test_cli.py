@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from gfcpc.bounds import BOUND_KINDS
 from gfcpc.cli import main
 from gfcpc.codec import multi_step_construct
 from gfcpc.examples import data_root, load_example
@@ -10,6 +11,7 @@ from gfcpc.formats import encoding_to_text, parse_partition, partition_to_text
 
 EX1 = data_root() / "ex1"
 EX2 = data_root() / "ex2"
+EX3 = data_root() / "ex3"
 EX5 = data_root() / "ex5"
 
 
@@ -73,8 +75,6 @@ def test_construct_grouped(tmp_path, capsys):
         capsys,
         "construct",
         str(EX1 / "problem.txt"),
-        "--mode",
-        "grouped",
         "--groups",
         "1|2",
         "-o",
@@ -84,6 +84,21 @@ def test_construct_grouped(tmp_path, capsys):
     assert "total r 6" in out
     code, _ = run(capsys, "verify", str(EX1 / "problem.txt"), str(enc_file))
     assert code == 0
+
+
+@pytest.mark.parametrize("spec", ["1,2|3", "3|1,2"])
+def test_construct_groups_selects_grouped_code(capsys, spec):
+    # --groups alone selects the grouped code, and each group's redundancy
+    # is printed against its own group whatever order the spec lists them in
+    code, out = run(capsys, "construct", str(EX3 / "problem.txt"), "--groups", spec)
+    assert code == 0
+    assert out.splitlines()[:3] == ["group {1,2}  r 3", "group {3}  r 10", "total r 13"]
+
+
+def test_construct_has_no_mode_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", str(EX3 / "problem.txt"), "--mode", "grouped"])
+    assert exc.value.code == 2
 
 
 def test_verify_reports_violations(tmp_path, capsys):
@@ -107,15 +122,39 @@ def test_bound_exact(capsys):
 
 
 def test_bound_binary_triple(capsys):
-    code, out = run(capsys, "bound", str(EX5 / "problem.txt"), "--kind", "binary-triple")
+    code, out = run(capsys, "bound", str(EX5 / "problem.txt"), "--kind", "lower-binary-triple")
     assert code == 0
     assert "witness u=000 v=100 w=010" in out
     assert "bound lower-binary-triple lower 6" in out
 
 
+@pytest.mark.parametrize("kind", BOUND_KINDS)
+def test_bound_kind_names_its_report(capsys, kind):
+    code, out = run(
+        capsys, "bound", str(EX5 / "problem.txt"), "--kind", kind, "--msgs", "000,011,101,110"
+    )
+    assert code == 0
+    assert out.splitlines()[-1].startswith(f"bound {kind} ")
+
+
+@pytest.mark.parametrize("kind", ["drm-sub", "trivial", "binary-triple", "binary-structural"])
+def test_bound_refuses_deleted_spellings(capsys, kind):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", str(EX5 / "problem.txt"), "--kind", kind])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_bound_help_lists_the_bound_kinds(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--help"])
+    assert exc.value.code == 0
+    assert "{" + ",".join(BOUND_KINDS) + "}" in capsys.readouterr().out
+
+
 def test_bound_domain_error_exit_code(capsys):
     # binary-only bound on a ternary problem
-    code = main(["bound", str(EX2 / "problem.txt"), "--kind", "binary-triple"])
+    code = main(["bound", str(EX2 / "problem.txt"), "--kind", "lower-binary-triple"])
     assert code == 2
 
 
@@ -134,7 +173,7 @@ def test_bound_inapplicable_is_success(tmp_path, capsys):
         "gfcpc-problem v1\nq 2\nk 2\n"
         "partition p1.partition 3\npartition p2.partition 5\n"
     )
-    code, out = run(capsys, "bound", str(prob_file), "--kind", "binary-triple")
+    code, out = run(capsys, "bound", str(prob_file), "--kind", "lower-binary-triple")
     assert code == 0
     assert "inapplicable" in out
 

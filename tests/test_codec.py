@@ -85,7 +85,6 @@ def test_verify_gfcpc_space_mismatch():
 def test_multistep_trace_structure():
     prob = _two_level_problem()
     enc, trace = multi_step_construct(prob)
-    assert trace.mode == "block-constant"
     assert len(trace.steps) == prob.H
     assert enc.r == trace.total_r == sum(trace.per_step_r)
     assert verify_gfcpc(enc, prob).valid

@@ -277,7 +277,8 @@ def test_budget_binds_the_walk_with_a_paused_dfs(
 def test_budget_ends_the_walk_inside_a_capped_round(budget):
     # The first round's DFS cap (120,000 nodes) lies far past this budget,
     # so the budget runs out inside that round: the walk must stop there,
-    # not go on to the full local search.
+    # not go on to the full local search. A deadline already spent stops
+    # the walk before the first length's search, so local search never runs.
     m = 18
     entries = [[0 if i == j else 5 for j in range(m)] for i in range(m)]
     with (
@@ -286,7 +287,17 @@ def test_budget_ends_the_walk_inside_a_capped_round(budget):
     ):
         res = min_length_dcode(mat_from_entries(entries), 2, budget)
     assert res.status == "budget"
-    assert spy.call_count == 1
+    assert spy.call_count == (1 if budget.wall_clock_s is None else 0)
+
+
+def test_spent_deadline_ends_the_walk():
+    # This matrix's first length (4) is decided in 21 DFS nodes, too few to
+    # reach the DFS's own clock read, so the walk must read the clock itself.
+    entries = [[0, 3, 2, 1], [3, 0, 2, 2], [2, 2, 0, 3], [1, 2, 3, 0]]
+    res = min_length_dcode(mat_from_entries(entries), 2, SearchBudget(wall_clock_s=0))
+    assert res.status == "budget"
+    assert res.lower <= 4 <= res.upper
+    assert res.nodes == 0
 
 
 def test_walk_only_solve_skips_scipy_import():
